@@ -6,12 +6,15 @@ Three problems over one multiple access channel at the data center:
   Solved in closed form by decoding in descending channel gain order and
   binding the suffix sum-rate constraints, and numerically as an LP over
   all subset constraints for cross-checking.
-* min_max_power: minimize the largest per-gateway power (epigraph LP),
-  with a time-sharing decomposition that mixes decoding orders so the
-  target rate point is met exactly.
+* min_max_power: minimize the largest per-gateway power.  Solved in
+  closed form by sorting the gateways by q_i/g_i^2 and pooling prefixes
+  into the lexicographically optimal base of the power region, with a
+  time-sharing decomposition that mixes decoding orders so the target
+  rate point is met exactly.
 * max_weighted_sum: allocate a total power budget to maximize a weighted
   sum of gateway rates; concave in the powers once the rate polytope is
-  collapsed to its weight-sorted corner, solved by projected gradient.
+  collapsed to its weight-sorted corner, solved exactly by
+  pool-adjacent-violators over the prefix received powers.
 """
 
 from __future__ import annotations
@@ -182,46 +185,45 @@ def min_total_power_convex(gateways):
 
 
 def min_max_power(gateways):
-    """(PowerAllocation, max power) minimizing the largest per-gateway power."""
+    """(PowerAllocation, max power) minimizing the largest per-gateway power.
+
+    In received-power coordinates x_i = P_i g_i^2 the deliverable region is
+    the contra-polymatroid x(S) >= N0 (2^Q(S) - 1) over subsets S of the
+    gateways with queued data.  Sorted by q_i / g_i^2 descending, the
+    smallest common power meeting every constraint is
+    t* = max over prefixes S of N0 (2^Q(S) - 1) / g^2(S).  The powers are
+    the lexicographically optimal base (Fujishige): every gateway of the
+    longest maximizing prefix gets t*, and the rest of the order is solved
+    again with N0 replaced by N0 2^Q(prefix).  The result is unique, the
+    sum-rate constraint binds, and the returned peak is t*.
+    """
     q = gateways.queue_rates
-    n = gateways.num_gws
-    members = [i for i in range(n) if q[i] > 0]
-    powers = np.zeros(n)
+    g2 = gateways.gains ** 2
+    members = [i for i in range(gateways.num_gws) if q[i] > 0]
+    powers = np.zeros(gateways.num_gws)
     if not members:
         return PowerAllocation(powers), 0.0
     for i in members:
-        if gateways.gains[i] == 0:
+        if g2[i] == 0:
             raise InfeasibleProblemError(
                 f"gateway {i} has queued data but zero channel gain"
             )
-    nm = len(members)
-    a_sub, b_sub = _subset_constraint_rows(gateways, members)
-    # variables (P_members, t): epigraph of the max
-    a = np.hstack([a_sub, np.zeros((a_sub.shape[0], 1))])
-    b = b_sub
-    peak_rows = np.hstack([np.eye(nm), -np.ones((nm, 1))])
-    a = np.vstack([a, peak_rows])
-    b = np.concatenate([b, np.zeros(nm)])
+    order = np.array(sorted(members, key=lambda i: (-q[i] / g2[i], i)))
+    noise = gateways.noise_power
+    while order.size:
+        q_prefix = np.cumsum(q[order])
+        ratios = noise * np.expm1(LN2 * q_prefix) / np.cumsum(g2[order])
+        k = order.size - 1 - int(np.argmax(ratios[::-1]))  # longest maximizer
+        powers[order[:k + 1]] = ratios[k]
+        noise *= math.pow(2.0, q_prefix[k])
+        order = order[k + 1:]
+    peak = float(powers.max())  # the first block's level
     cap = gateways.per_gw_power_cap
-    if cap is not None:
-        t_cap = np.zeros((1, nm + 1))
-        t_cap[0, -1] = 1.0
-        a = np.vstack([a, t_cap])
-        b = np.concatenate([b, [cap]])
-    c = np.zeros(nm + 1)
-    c[-1] = 1.0
-    try:
-        x, t = solve_lp(c, a, b)
-    except LpInfeasible:
+    if cap is not None and peak > cap * (1 + 1e-9):
         raise InfeasibleProblemError(
-            "queue rates are not deliverable under the per-gateway power cap"
+            f"minimal peak power {peak:.6g} W exceeds the cap {cap:.6g} W"
         )
-    if cap is not None and t > cap * (1 + 1e-9):
-        raise InfeasibleProblemError(
-            f"minimal peak power {t:.6g} W exceeds the cap {cap:.6g} W"
-        )
-    powers[members] = np.maximum(x[:nm], 0.0)
-    return PowerAllocation(powers), float(t)
+    return PowerAllocation(powers), peak
 
 
 def corner_rates(gateways, powers, order):
@@ -301,116 +303,20 @@ def weights_from_queues(queue_rates):
     return q / total
 
 
-def _weighted_corner_value(gateways, weights, powers):
-    """Greedy optimum of max w @ r over the rate polytope at fixed powers:
-    value, gradient wrt powers, and the corner decoding order."""
-    g2 = gateways.gains ** 2
-    n0 = gateways.noise_power
-    n = gateways.num_gws
-    # decode ascending weight first so heavier gateways see less interference
-    by_weight_desc = sorted(range(n), key=lambda i: (-weights[i], i))
-    value = 0.0
-    grad = np.zeros(n)
-    received = powers * g2
-    prefix = 0.0
-    for k, i in enumerate(by_weight_desc):
-        w_here = weights[i]
-        w_next = weights[by_weight_desc[k + 1]] if k + 1 < n else 0.0
-        coeff = w_here - w_next
-        prefix += received[i]
-        if coeff != 0.0:
-            value += coeff * math.log2(1.0 + prefix / n0)
-            scale = coeff / (LN2 * (n0 + prefix))
-            for t in range(k + 1):
-                j = by_weight_desc[t]
-                grad[j] += scale * g2[j]
-    order = tuple(reversed(by_weight_desc))  # lightest weight decoded first
-    return value, grad, order
-
-
-def _project_capped_simplex(x, cap):
-    """Euclidean projection onto {p >= 0, sum p <= cap}."""
-    x = np.maximum(x, 0.0)
-    s = x.sum()
-    if s <= cap:
-        return x
-    # project onto the simplex of size cap (sorted threshold method)
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - cap
-    rho = np.nonzero(u - css / np.arange(1, x.size + 1) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(x - theta, 0.0)
-
-
-def _weighted_support_solve(gateways, weights, total_cap):
-    """Exact maximizer of the corner-collapsed weighted-sum objective.
-
-    With the decoding order fixed by the weights, the objective is a
-    concave function of the prefix received powers, so for each candidate
-    support (set of gateways with positive power) the stationarity
-    conditions plus the binding cap form a linear system with a closed
-    form.  Enumerating supports and keeping the best feasible candidate
-    yields the global optimum to machine precision.
-    """
-    n = gateways.num_gws
-    g2 = gateways.gains ** 2
-    n0 = gateways.noise_power
-    active = [i for i in range(n) if weights[i] > 0 and g2[i] > 0]
-    order_desc = sorted(active, key=lambda i: (-weights[i], i))
-    na = len(order_desc)
-    if na == 0:
-        return np.zeros(n)
-    # coefficient of log2(1 + prefix_k/N0): weight drop at position k
-    w_sorted = [weights[i] for i in order_desc]
-    coeff = [w_sorted[k] - (w_sorted[k + 1] if k + 1 < na else 0.0)
-             for k in range(na)]
-    best_value = -math.inf
-    best_p = np.zeros(n)
-    for mask in range(1, 1 << na):
-        positions = [k for k in range(na) if (mask >> k) & 1]
-        s = len(positions)
-        gains = [g2[order_desc[k]] for k in positions]
-        # weight drop accumulated until the next active position
-        c = []
-        for j, m in enumerate(positions):
-            stop = positions[j + 1] if j + 1 < s else na
-            c.append(sum(coeff[m:stop]))
-        if any(cj <= 0 for cj in c):
-            continue
-        d = [1.0 / gains[j] - (1.0 / gains[j + 1] if j + 1 < s else 0.0)
-             for j in range(s)]
-        if any(dj <= 0 for dj in d):
-            continue
-        # stationarity: c_j / (ln2 (N0 + Y_j)) = mu d_j  =>  N0 + Y_j = a_j/mu
-        a = [c[j] / (LN2 * d[j]) for j in range(s)]
-        numer = a[0] / gains[0] + sum(
-            (a[j] - a[j - 1]) / gains[j] for j in range(1, s))
-        mu = numer / (total_cap + n0 / gains[0])
-        if mu <= 0:
-            continue
-        y = [aj / mu - n0 for aj in a]
-        if y[0] <= 0 or any(y[j] <= y[j - 1] for j in range(1, s)):
-            continue
-        p = np.zeros(n)
-        prev = 0.0
-        for j, m in enumerate(positions):
-            p[order_desc[m]] = (y[j] - prev) / gains[j]
-            prev = y[j]
-        value, _, _ = _weighted_corner_value(gateways, weights, p)
-        if value > best_value:
-            best_value = value
-            best_p = p
-    return best_p
-
-
-def max_weighted_sum(gateways, weights=None, total_cap=None,
-                     tol=1e-9, max_iter=200_000):
+def max_weighted_sum(gateways, weights=None, total_cap=None):
     """Maximize the weighted sum of gateway rates under a total power cap.
 
-    Up to 16 gateways the concave corner-collapsed objective is solved
-    exactly by support enumeration (closed-form KKT system per support);
-    beyond that, projected gradient ascent runs until the KKT stationarity
-    residual over the support drops below tol.
+    For fixed powers the best SIC corner decodes the lightest weight first.
+    In the prefix received powers Y_k of the k heaviest gateways (zero
+    weights and zero gains left out) the objective becomes
+    sum_k c_k log2(1 + Y_k/N0) with c_k = w_k - w_{k+1}, subject to the
+    chain 0 <= Y_1 <= ... <= Y_n and the budget sum_k d_k Y_k <= cap, where
+    d_k = 1/g_k^2 - 1/g_{k+1}^2.  A block of pooled positions with equal Y
+    is optimal at Y = C/(D ln2 mu) - N0, so pool-adjacent-violators merges
+    neighbours while the left C/D is not below the right one (Best,
+    Chakravarti & Ubhaya, 2000); merging never depends on the multiplier
+    mu of the binding budget, which then has a closed form over the
+    suffix of blocks with Y > 0.
     """
     if weights is None:
         weights = weights_from_queues(gateways.queue_rates)
@@ -425,46 +331,44 @@ def max_weighted_sum(gateways, weights=None, total_cap=None,
         raise ValueError("a positive total power cap is required")
 
     n = gateways.num_gws
-    if n <= 16:
-        return _finish_weighted(gateways, weights, total_cap,
-                                _weighted_support_solve(gateways, weights,
-                                                        total_cap))
-    p = np.full(n, total_cap / n)
-    value, grad, _ = _weighted_corner_value(gateways, weights, p)
-    step = total_cap / max(np.abs(grad).max(), 1e-12)
-    for _ in range(max_iter):
-        cand = _project_capped_simplex(p + step * grad, total_cap)
-        cand_value, cand_grad, _ = _weighted_corner_value(gateways, weights, cand)
-        gain = cand_value - value
-        expected = float(grad @ (cand - p))
-        if gain >= 1e-4 * expected or expected <= 0:
-            p, value, grad = cand, cand_value, cand_grad
-            step *= 1.25
-        else:
-            step *= 0.5
-            if step < 1e-18 * total_cap:
-                break
-            continue
-        support = p > 0
-        if support.any():
-            lam = grad[support].max()
-            resid = max(
-                float(np.max(lam - grad[support])),
-                float(np.max(np.maximum(grad[~support] - lam, 0.0), initial=0.0)),
-            )
-            scale = max(abs(lam), 1.0)
-            if resid <= tol * scale and abs(p.sum() - total_cap) <= tol * total_cap:
-                break
-    return _finish_weighted(gateways, weights, total_cap, p)
-
-
-def _finish_weighted(gateways, weights, total_cap, p):
-    n = gateways.num_gws
-    off_tol = 1e-9 * total_cap
-    p = np.where(p < off_tol, 0.0, p)
-    value, grad, order_all = _weighted_corner_value(gateways, weights, p)
+    g2 = gateways.gains ** 2
+    n0 = gateways.noise_power
+    by_weight_desc = sorted(range(n), key=lambda i: (-weights[i], i))
+    active = [i for i in by_weight_desc if weights[i] > 0 and g2[i] > 0]
+    p = np.zeros(n)
+    if active:
+        w = np.append(weights[active], 0.0)
+        inv_g2 = np.append(1.0 / g2[active], 0.0)
+        # block t spans positions starts[t] .. starts[t + 1] - 1, so its
+        # C and D telescope to differences of w and 1/g^2 at its ends
+        starts = []
+        for k in range(len(active)):
+            starts.append(k)
+            while len(starts) > 1:
+                left, right, end = starts[-2], starts[-1], k + 1
+                c_left, d_left = w[left] - w[right], inv_g2[left] - inv_g2[right]
+                c_right, d_right = w[right] - w[end], inv_g2[right] - inv_g2[end]
+                if d_left > 0 and (d_right <= 0 or c_left * d_right < c_right * d_left):
+                    break
+                starts.pop()
+        # every block now has D > 0, and a = C/(D ln2) increases along them
+        ends = starts[1:] + [len(active)]
+        d_blk = inv_g2[starts] - inv_g2[ends]
+        a = (w[starts] - w[ends]) / (d_blk * LN2)
+        # the budget binds over the suffix of blocks with Y = a/mu - N0 > 0:
+        # the first suffix whose leading block stays positive is that suffix
+        d_suffix = np.cumsum(d_blk[::-1])[::-1]
+        da_suffix = np.cumsum((d_blk * a)[::-1])[::-1]
+        inv_mu = (total_cap + n0 * d_suffix) / da_suffix
+        j = int(np.argmax(a * inv_mu > n0))
+        y = np.maximum(a * inv_mu[j] - n0, 0.0)
+        # within a block only the first gateway adds received power
+        first = [active[k] for k in starts]
+        p[first] = np.diff(y, prepend=0.0) / g2[first]
+    p = np.where(p < 1e-9 * total_cap, 0.0, p)
     off = frozenset(int(i) for i in range(n) if p[i] == 0.0)
-    order = tuple(i for i in order_all if i not in off)
+    # lightest weight decoded first, so heavier gateways see less interference
+    order = tuple(i for i in reversed(by_weight_desc) if i not in off)
     rates = corner_rates(gateways, p, order)
     return WeightedRateSolution(
         powers=PowerAllocation(p),

@@ -1,0 +1,169 @@
+"""Exponential-size reference solvers for the stage-2 delivery problems.
+
+`seisrate.delivery` solves min-max power and the weighted sum rate by one
+sort plus block pooling.  These oracles solve the same problems the way
+the library once did, by enumerating every subset, so the tests can check
+the fast solvers against them on small instances.  They share no code
+with the library.
+"""
+
+import itertools
+import math
+
+import numpy as np
+from scipy.optimize import linprog, minimize
+
+LN2 = math.log(2.0)
+
+
+def subset_masks(num):
+    """Every nonempty subset of range(num) as a 0/1 row."""
+    return np.array(list(itertools.product((0.0, 1.0), repeat=num))[1:])
+
+
+def min_max_lp(gateways):
+    """Smallest peak power from the epigraph LP over all 2^N - 1 subset
+    constraints sum_S P_i g_i^2 >= N0 (2^Q(S) - 1), solved by scipy.
+
+    Returns None when the per-gateway cap makes the problem infeasible.
+    """
+    q = gateways.queue_rates
+    members = [i for i in range(gateways.num_gws) if q[i] > 0]
+    if not members:
+        return 0.0
+    m = len(members)
+    masks = subset_masks(m)
+    g2 = gateways.gains[members] ** 2
+    rhs = 2.0 ** (masks @ q[members]) - 1.0
+    cap = gateways.per_gw_power_cap
+    n0 = gateways.noise_power
+    # variables (P_members, t) in units of N0, so that the solver's absolute
+    # feasibility tolerance is relative to the requirements; minimize t
+    a_ub = np.vstack([np.hstack([-masks * g2, np.zeros((len(masks), 1))]),
+                      np.hstack([np.eye(m), -np.ones((m, 1))])])
+    b_ub = np.concatenate([-rhs, np.zeros(m)])
+    c = np.zeros(m + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(0, None)] * m + [(0, None if cap is None else cap / n0)],
+                  method="highs")
+    if res.status == 2:
+        return None
+    if not res.success:
+        raise RuntimeError(f"linprog failed: {res.message}")
+    return res.fun * n0
+
+
+def subset_gaps(gateways, powers):
+    """Received power minus requirement, N0 (2^Q(S) - 1), for every
+    nonempty subset S of the gateways with queued data."""
+    q = gateways.queue_rates
+    members = [i for i in range(gateways.num_gws) if q[i] > 0]
+    masks = subset_masks(len(members))
+    received = powers[members] * gateways.gains[members] ** 2
+    rhs = gateways.noise_power * (2.0 ** (masks @ q[members]) - 1.0)
+    return masks @ received - rhs, rhs
+
+
+def weighted_objective(gateways, weights, powers):
+    """Weighted sum rate at the corner that decodes the lightest weight
+    first: sum_k (w_(k) - w_(k+1)) log2(1 + Y_k/N0), where Y_k is the
+    received power of the k heaviest gateways."""
+    heavy_first = sorted(range(gateways.num_gws), key=lambda i: (-weights[i], i))
+    w = np.append(np.asarray(weights)[heavy_first], 0.0)
+    prefix = np.cumsum(np.asarray(powers)[heavy_first]
+                       * gateways.gains[heavy_first] ** 2)
+    return float(np.sum((w[:-1] - w[1:])
+                        * np.log2(1.0 + prefix / gateways.noise_power)))
+
+
+def weighted_kkt_gap(gateways, weights, powers):
+    """Largest relative KKT violation of the weighted-sum problem at powers
+    that spend the budget.  The corner objective is concave in the powers,
+    so a zero gap certifies a global maximum: no gateway's marginal gain
+    exceeds lam, the largest one, and every gateway with power reaches it."""
+    heavy_first = sorted(range(gateways.num_gws), key=lambda i: (-weights[i], i))
+    w = np.append(np.asarray(weights)[heavy_first], 0.0)
+    g2 = gateways.gains[heavy_first] ** 2
+    prefix = np.cumsum(np.asarray(powers)[heavy_first] * g2)
+    # P_i enters every prefix from its own position on
+    slopes = (w[:-1] - w[1:]) / (LN2 * (gateways.noise_power + prefix))
+    grad = np.empty(gateways.num_gws)
+    grad[heavy_first] = g2 * np.cumsum(slopes[::-1])[::-1]
+    lam = grad.max()
+    return float((lam - grad[np.asarray(powers) > 0].min()) / lam)
+
+
+def weighted_support_enumeration(gateways, weights, total_cap):
+    """Exact maximizer of the weighted sum rate by enumerating supports.
+
+    With the decoding order fixed by the weights, the objective is concave
+    in the prefix received powers, so for each candidate support (set of
+    gateways with positive power) the stationarity conditions plus the
+    binding cap form a linear system with a closed form.  Keeping the best
+    feasible candidate over all 2^n supports gives the global optimum.
+    """
+    n = gateways.num_gws
+    g2 = gateways.gains ** 2
+    n0 = gateways.noise_power
+    active = [i for i in range(n) if weights[i] > 0 and g2[i] > 0]
+    order_desc = sorted(active, key=lambda i: (-weights[i], i))
+    na = len(order_desc)
+    if na == 0:
+        return np.zeros(n)
+    # coefficient of log2(1 + prefix_k/N0): weight drop at position k
+    w_sorted = [weights[i] for i in order_desc]
+    coeff = [w_sorted[k] - (w_sorted[k + 1] if k + 1 < na else 0.0)
+             for k in range(na)]
+    best_value = -math.inf
+    best_p = np.zeros(n)
+    for mask in range(1, 1 << na):
+        positions = [k for k in range(na) if (mask >> k) & 1]
+        s = len(positions)
+        gains = [g2[order_desc[k]] for k in positions]
+        # weight drop accumulated until the next active position
+        c = []
+        for j, m in enumerate(positions):
+            stop = positions[j + 1] if j + 1 < s else na
+            c.append(sum(coeff[m:stop]))
+        if any(cj <= 0 for cj in c):
+            continue
+        d = [1.0 / gains[j] - (1.0 / gains[j + 1] if j + 1 < s else 0.0)
+             for j in range(s)]
+        if any(dj <= 0 for dj in d):
+            continue
+        # stationarity: c_j / (ln2 (N0 + Y_j)) = mu d_j  =>  N0 + Y_j = a_j/mu
+        a = [c[j] / (LN2 * d[j]) for j in range(s)]
+        numer = a[0] / gains[0] + sum(
+            (a[j] - a[j - 1]) / gains[j] for j in range(1, s))
+        mu = numer / (total_cap + n0 / gains[0])
+        if mu <= 0:
+            continue
+        y = [aj / mu - n0 for aj in a]
+        if y[0] <= 0 or any(y[j] <= y[j - 1] for j in range(1, s)):
+            continue
+        p = np.zeros(n)
+        prev = 0.0
+        for j, m in enumerate(positions):
+            p[order_desc[m]] = (y[j] - prev) / gains[j]
+            prev = y[j]
+        value = weighted_objective(gateways, weights, p)
+        if value > best_value:
+            best_value = value
+            best_p = p
+    return best_p
+
+
+def weighted_slsqp(gateways, weights, total_cap):
+    """Weighted sum rate at the SLSQP maximizer over the powers."""
+    n = gateways.num_gws
+    res = minimize(
+        lambda p: -weighted_objective(gateways, weights, p),
+        np.full(n, total_cap / n), method="SLSQP",
+        bounds=[(0, total_cap)] * n,
+        constraints=[{"type": "ineq", "fun": lambda p: total_cap - p.sum()}],
+        options={"ftol": 1e-14, "maxiter": 2000},
+    )
+    if not res.success:
+        raise RuntimeError(f"SLSQP failed: {res.message}")
+    return -res.fun

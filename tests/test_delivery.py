@@ -6,11 +6,17 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import LARGE_BUFFER_Q, SMALL_BUFFER_Q, random_gateways
+from oracles import (
+    min_max_lp,
+    subset_gaps,
+    weighted_objective,
+    weighted_slsqp,
+    weighted_support_enumeration,
+)
 from seisrate.errors import DecompositionError, InfeasibleProblemError
 from seisrate.model import GatewayState
 from seisrate.delivery import (
     PowerAllocation,
-    _project_capped_simplex,
     _subset_constraint_rows,
     corner_rates,
     cyclic_orders,
@@ -155,6 +161,41 @@ class TestMinMaxPower:
         gw = GatewayState(2, [3.0, 3.0], [1.0, 1.0], 1e-3, per_gw_power_cap=1e-3)
         with pytest.raises(InfeasibleProblemError):
             min_max_power(gw)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_epigraph_lp_oracle(self, n):
+        # 22 instances per size, 220 in all; every third has an empty queue
+        rng = np.random.default_rng(900 + n)
+        for case in range(22):
+            q = rng.uniform(0.2, 1.5, n)
+            if n > 1 and case % 3 == 0:
+                q[rng.integers(n)] = 0.0
+            gw = GatewayState(n, q, rng.rayleigh(1.0, n), 1e-3)
+            alloc, peak = min_max_power(gw)
+            ref_peak = min_max_lp(gw)
+            assert peak == pytest.approx(ref_peak, rel=1e-9)
+            assert alloc.powers.max() == peak
+            assert np.all(alloc.powers[q == 0] == 0.0)
+            gaps, rhs = subset_gaps(gw, alloc.powers)
+            assert np.all(gaps >= -1e-9 * rhs)
+            # the last row is the full set: the point lies on the base, so
+            # the sum-rate constraint binds
+            assert abs(gaps[-1]) <= 1e-9 * rhs[-1]
+
+    def test_cap_at_the_oracle_peak(self):
+        ref_peak = min_max_lp(random_gateways(6, 77))
+        tight = random_gateways(6, 77, cap=ref_peak * (1 - 1e-6))
+        assert min_max_lp(tight) is None
+        with pytest.raises(InfeasibleProblemError):
+            min_max_power(tight)
+        _, peak = min_max_power(random_gateways(6, 77, cap=ref_peak * (1 + 1e-6)))
+        assert peak == pytest.approx(ref_peak, rel=1e-9)
+
+    def test_all_queues_empty(self):
+        gw = GatewayState(3, [0.0] * 3, [1.0, 2.0, 0.0], 1e-3)
+        alloc, peak = min_max_power(gw)
+        assert peak == 0.0
+        assert np.all(alloc.powers == 0.0)
 
 
 class TestCornerRatesAndOrders:
@@ -339,26 +380,42 @@ class TestWeightedSum:
         with pytest.raises(ValueError):
             max_weighted_sum(large_buffer_gateways, weights=np.full(8, 0.2))
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_support_enumeration_oracle(self, n):
+        rng = np.random.default_rng(1200 + n)
+        for case in range(24):
+            q = rng.uniform(0.2, 1.5, n)
+            g = rng.rayleigh(1.0, n)
+            weights = q / q.sum()
+            kind = case % 4
+            if kind == 1:
+                weights = np.round(weights * 3 * n) + 1.0   # tied weights
+            elif kind == 2:
+                weights[rng.integers(n)] = 0.0
+            elif kind == 3:
+                g[rng.integers(n)] = 0.0
+            weights /= weights.sum()
+            cap = float(rng.uniform(0.01, 5.0))
+            gw = GatewayState(n, q, g, 1e-3, total_power_cap=cap)
+            sol = max_weighted_sum(gw, weights)
+            ref = weighted_support_enumeration(gw, weights, cap)
+            ref_value = weighted_objective(gw, weights, ref)
+            assert sol.objective == pytest.approx(ref_value, rel=1e-9)
+            assert weighted_objective(gw, weights, sol.powers.powers) == \
+                pytest.approx(ref_value, rel=1e-9)
+            assert sol.powers.total == pytest.approx(cap, rel=1e-9)
+            if kind != 1:
+                # distinct positive weights make the maximizer unique
+                assert sol.powers.powers == pytest.approx(ref, rel=0, abs=1e-9 * cap)
 
-class TestSimplexProjection:
-    def test_inside_set_is_unchanged(self):
-        x = np.array([0.1, 0.2])
-        assert _project_capped_simplex(x, 1.0) == pytest.approx(x)
-
-    def test_projection_lands_on_boundary(self):
-        y = _project_capped_simplex(np.array([2.0, 1.0]), 1.0)
-        assert y.sum() == pytest.approx(1.0)
-        assert y == pytest.approx([1.0, 0.0])
-
-    def test_random_projections_are_feasible_and_optimal(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = rng.normal(size=6) * 3
-            cap = rng.uniform(0.5, 4.0)
-            y = _project_capped_simplex(x, cap)
-            assert y.sum() <= cap + 1e-9
-            assert np.all(y >= 0)
-            # no feasible random point should be closer to x
-            z = np.abs(rng.normal(size=6))
-            z *= min(1.0, cap / z.sum())
-            assert np.linalg.norm(y - x) <= np.linalg.norm(z - x) + 1e-9
+    @pytest.mark.parametrize("n", range(17, 41))
+    def test_matches_slsqp_on_large_networks(self, n):
+        gw = random_gateways(n, 4000 + n)
+        weights = weights_from_queues(gw.queue_rates)
+        sol = max_weighted_sum(gw, weights, total_cap=1.0)
+        assert np.all(sol.powers.powers >= 0.0)
+        assert sol.powers.total <= 1.0 + 1e-9
+        value = weighted_objective(gw, weights, sol.powers.powers)
+        assert sol.objective == pytest.approx(value, rel=1e-12)
+        ref_value = weighted_slsqp(gw, weights, 1.0)
+        assert value >= ref_value * (1 - 1e-9)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import min_max_lp, weighted_kkt_gap, weighted_objective
 from seisrate.cli import main
 from seisrate.errors import InstanceFormatError
 from seisrate.experiments import ExperimentSpec, GwSizingSpec, run_experiment, run_gw_sizing
@@ -188,6 +189,35 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["total_mW"] == pytest.approx(5000.0, rel=1e-6)
         assert doc["objective"] >= 2.63
+
+    def test_stage2_min_max_twelve_gateways(self, tmp_path):
+        # the 2^N-row epigraph LP once used here ran for minutes at N = 12
+        inst, out = tmp_path / "gw.json", tmp_path / "res.json"
+        assert main(["gen", "--kind", "gateways", "--gws", "12", "--seed", "12",
+                     "--out", str(inst)]) == 0
+        assert main(["stage2", "min-max", "--instance", str(inst),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        ref_peak = min_max_lp(load_instance(inst))
+        assert doc["peak_mW"] == pytest.approx(ref_peak * 1000.0, rel=1e-9)
+        assert max(doc["powers_mW"]) == doc["peak_mW"]
+        assert ("schedule" in doc) != ("schedule_error" in doc)
+
+    def test_stage2_weighted_sixty_four_gateways(self, tmp_path):
+        inst, out = tmp_path / "gw.json", tmp_path / "res.json"
+        assert main(["gen", "--kind", "gateways", "--gws", "64", "--seed", "64",
+                     "--ptotal-max-mw", "1000", "--out", str(inst)]) == 0
+        assert main(["stage2", "weighted", "--instance", str(inst),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        gw = load_instance(inst)
+        weights = gw.queue_rates / gw.queue_rates.sum()
+        powers = np.array(doc["powers_mW"]) / 1000.0
+        assert powers.min() >= 0.0
+        assert powers.sum() == pytest.approx(1.0, rel=1e-9)
+        assert doc["objective"] == pytest.approx(
+            weighted_objective(gw, weights, powers), rel=1e-9)
+        assert weighted_kkt_gap(gw, weights, powers) <= 1e-9
 
     def test_experiment_run_subcommand(self, tmp_path):
         spec = write_spec(tmp_path / "s.json", algorithms=["dpso"],

@@ -11,7 +11,6 @@ from .delivery import (
     max_weighted_sum,
     min_max_power,
     min_total_power_closed_form,
-    min_total_power_convex,
     time_share_decompose,
     weights_from_queues,
 )

@@ -130,21 +130,17 @@ def _cmd_stage2_min_total(args):
 def _cmd_stage2_min_max(args):
     gw = _stage2_instance(args)
     allocation, peak = min_max_power(gw)
-    doc = {
+    schedule = time_share_decompose(gw, allocation)
+    _emit({
         "problem": "min-max",
         "powers_mW": [p * MW_PER_W for p in allocation.powers],
         "total_mW": allocation.total * MW_PER_W,
         "peak_mW": peak * MW_PER_W,
-    }
-    try:
-        schedule = time_share_decompose(gw, allocation)
-        doc["schedule"] = [
+        "schedule": [
             {"order": [i + 1 for i in order], "fraction": lam}
             for order, lam in schedule.entries
-        ]
-    except DecompositionError as exc:
-        doc["schedule_error"] = str(exc)
-    _emit(doc, args.out)
+        ],
+    }, args.out)
     return EXIT_OK
 
 

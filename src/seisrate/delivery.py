@@ -4,13 +4,13 @@ Three problems over one multiple access channel at the data center:
 
 * min_total_power: deliver the queue rates Q with minimal total power.
   Solved in closed form by decoding in descending channel gain order and
-  binding the suffix sum-rate constraints, and numerically as an LP over
-  all subset constraints for cross-checking.
+  binding the suffix sum-rate constraints.
 * min_max_power: minimize the largest per-gateway power.  Solved in
   closed form by sorting the gateways by q_i/g_i^2 and pooling prefixes
-  into the lexicographically optimal base of the power region, with a
-  time-sharing decomposition that mixes decoding orders so the target
-  rate point is met exactly.
+  into the lexicographically optimal base of the power region.  At those
+  powers Q lies on the base of the rate polymatroid, and
+  time_share_decompose mixes at most N decoding orders that meet it
+  exactly.
 * max_weighted_sum: allocate a total power budget to maximize a weighted
   sum of gateway rates; concave in the powers once the rate polytope is
   collapsed to its weight-sorted corner, solved exactly by
@@ -19,14 +19,13 @@ Three problems over one multiple access channel at the data center:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DecompositionError, InfeasibleProblemError
-from .model import GatewayState
-from .simplex import LpInfeasible, solve_lp
 
 LN2 = math.log(2.0)
 
@@ -139,51 +138,6 @@ def min_total_power_closed_form(gateways):
     return PowerAllocation(powers), order
 
 
-def _subset_constraint_rows(gateways, members):
-    """LP rows: for each nonempty subset of members, sum of P_i g_i^2 over
-    the subset must reach N0 (2^(sum Q) - 1).  Returned in <= form
-    (negated) over variables indexed by position in `members`."""
-    q = gateways.queue_rates
-    g2 = gateways.gains ** 2
-    n0 = gateways.noise_power
-    nm = len(members)
-    rows, rhs = [], []
-    for mask in range(1, 1 << nm):
-        sel = [(mask >> t) & 1 for t in range(nm)]
-        row = np.array([-g2[members[t]] if sel[t] else 0.0 for t in range(nm)])
-        q_sum = sum(q[members[t]] for t in range(nm) if sel[t])
-        rows.append(row)
-        rhs.append(-n0 * _required_rate_power(q_sum))
-    return np.array(rows), np.array(rhs)
-
-
-def min_total_power_convex(gateways):
-    """Numerical solve of the min-total problem over all subset constraints."""
-    q = gateways.queue_rates
-    members = [i for i in range(gateways.num_gws) if q[i] > 0]
-    powers = np.zeros(gateways.num_gws)
-    if not members:
-        return PowerAllocation(powers)
-    for i in members:
-        if gateways.gains[i] == 0:
-            raise InfeasibleProblemError(
-                f"gateway {i} has queued data but zero channel gain"
-            )
-    a, b = _subset_constraint_rows(gateways, members)
-    cap = gateways.per_gw_power_cap
-    if cap is not None:
-        a = np.vstack([a, np.eye(len(members))])
-        b = np.concatenate([b, np.full(len(members), cap)])
-    try:
-        x, _ = solve_lp(np.ones(len(members)), a, b)
-    except LpInfeasible:
-        raise InfeasibleProblemError(
-            "queue rates are not deliverable under the per-gateway power cap"
-        )
-    powers[members] = np.maximum(x, 0.0)
-    return PowerAllocation(powers)
-
-
 def min_max_power(gateways):
     """(PowerAllocation, max power) minimizing the largest per-gateway power.
 
@@ -228,70 +182,197 @@ def min_max_power(gateways):
 
 def corner_rates(gateways, powers, order):
     """SIC rate vector for one decoding order at the given powers; the
-    first-decoded gateway sees interference from everyone after it."""
-    p = np.asarray(powers, dtype=float)
-    g2 = gateways.gains ** 2
+    first-decoded gateway sees interference from everyone after it.
+
+    Each rate is log2((N0 + w_incl) / (N0 + w_excl)), where w_incl and
+    w_excl are the received powers decoded from this gateway on and after
+    it, both summed from the end of the order so no term is subtracted.
+    """
+    order = np.asarray(order, dtype=int)
+    received = np.asarray(powers, dtype=float)[order] * gateways.gains[order] ** 2
+    incl = np.cumsum(received[::-1])[::-1]
+    excl = np.append(incl[1:], 0.0)
     n0 = gateways.noise_power
     rates = np.zeros(gateways.num_gws)
-    suffix = float(sum(p[i] * g2[i] for i in order))
-    for i in order:
-        own = p[i] * g2[i]
-        rates[i] = math.log2(1.0 + own / (n0 + suffix - own))
-        suffix -= own
+    rates[order] = np.log2((n0 + incl) / (n0 + excl))
     return rates
 
 
-def cyclic_orders(n):
-    """Cyclic shifts of (0..n-1) starting at 0 then n-1 down to 1."""
-    starts = [0] + list(range(n - 1, 0, -1))
-    return [tuple((s + t) % n for t in range(n)) for s in starts]
+def _capacity(received, noise):
+    """log2(1 + received / noise), the rate of a set with that received power."""
+    return math.log1p(received / noise) / LN2
 
 
-def time_share_decompose(gateways, powers, orders=None, max_flips=None):
+def _tightest_prefix(items, rates, received, noise):
+    """(order, k, slack): the proper prefix order[:k] of the items sorted
+    by rates_i / w_i descending with the least slack f(S) - rates(S).
+
+    f(S) = log2(1 + w(S)/noise) is a strictly concave function of the
+    modular w(S), so over all subsets f(S) - rates(S) is least at such a
+    prefix.  For rates on the base, where the empty and the full set have
+    slack 0, order[:k] is thus a most violated set if any is violated and
+    a tight set if any is tight.
+    """
+    order = sorted(items, key=lambda i: -rates[i] / received[i])
+    best_k, best = 0, math.inf
+    w = r = 0.0
+    for k, i in enumerate(order[:-1], 1):
+        w += received[i]
+        r += rates[i]
+        slack = _capacity(w, noise) - r
+        if slack < best:
+            best_k, best = k, slack
+    return order, best_k, best
+
+
+def _interleave(first, last):
+    """Pair two schedules on [0, 1] by their cumulative fractions: each
+    piece decodes an order of `first` and then an order of `last`."""
+    ends_first = list(itertools.accumulate(lam for _, lam in first))
+    ends_last = list(itertools.accumulate(lam for _, lam in last))
+    ends_first[-1] = ends_last[-1] = 1.0
+    pieces, start, i, j = [], 0.0, 0, 0
+    while i < len(first) and j < len(last):
+        end = min(ends_first[i], ends_last[j])
+        if end > start:
+            pieces.append((first[i][0] + last[j][0], end - start))
+            start = end
+        i += ends_first[i] == end
+        j += ends_last[j] == end
+    return pieces
+
+
+def _line_search(items, order, rates, received, noise):
+    """Move from the vertex v of the greedy order through `rates` as far as
+    the region allows: z = rates + alpha (rates - v) for the largest alpha,
+    found by Newton (Dinkelbach) steps on the prefix separator from the
+    best singleton bound.  Returns (alpha, z, z's order, k) with z's
+    prefix of length k tight, so rates = (z + alpha v) / (1 + alpha), or
+    None when no step leaves v: rates <= v with equal sums up to rounding,
+    so v alone is the mix."""
+    vertex, w = {}, 0.0
+    for i in order:  # the first gateway of the greedy order is decoded last
+        vertex[i] = _capacity(received[i], noise + w)
+        w += received[i]
+    step = {i: rates[i] - vertex[i] for i in items}
+    alpha = min(((_capacity(received[i], noise) - rates[i]) / step[i]
+                 for i in items if step[i] > 0), default=None)
+    while alpha is not None:
+        z = {i: rates[i] + alpha * step[i] for i in items}
+        z_order, k, slack = _tightest_prefix(items, z, received, noise)
+        if slack >= 0:
+            return alpha, z, z_order, k
+        tight = z_order[:k]
+        shorter = ((_capacity(sum(received[i] for i in tight), noise)
+                    - sum(rates[i] for i in tight))
+                   / sum(step[i] for i in tight))
+        if not shorter < alpha:  # no progress left but rounding
+            return alpha, z, z_order, k
+        alpha = shorter
+    return None
+
+
+def _decompose(items, rates, received, noise, tol):
+    """(decoding order, fraction) pairs whose corner rates at `noise` mix
+    into `rates`, a base of f(S) = log2(1 + w(S)/noise) over `items`.
+
+    A problem with a prefix T tight to within tol splits in two: T decoded
+    last at the plain noise (the restriction of f), the rest decoded first
+    with T as extra noise (the contraction).  Otherwise _line_search moves
+    onto a tight set first and keeps its vertex aside.  Sub-problems are
+    queued instead of recursed into, and their schedules are combined
+    from the last one back, children before parents.
+    """
+    problems = [(items, rates, noise)]
+    schedules = []   # leaves now, splits on the way back
+    plans = []       # (index of the tight child, alpha, vertex order)
+    for items, rates, noise in problems:  # grows while it is walked
+        plan = schedule = None
+        if len(items) == 1:
+            schedule = [((items[0],), 1.0)]
+        else:
+            order, k, slack = _tightest_prefix(items, rates, received, noise)
+            alpha, vertex_order = 0.0, None
+            if slack > tol:
+                vertex_order = tuple(reversed(order))
+                moved = _line_search(items, order, rates, received, noise)
+                if moved is None:
+                    schedule = [(vertex_order, 1.0)]
+                else:
+                    alpha, rates, order, k = moved
+            if schedule is None:
+                plan = (len(problems), alpha, vertex_order)
+                tight = order[:k]
+                problems.append((tight, rates, noise))
+                problems.append((order[k:], rates,
+                                 noise + sum(received[i] for i in tight)))
+        schedules.append(schedule)
+        plans.append(plan)
+    for index in reversed(range(len(problems))):
+        if plans[index] is None:
+            continue
+        child, alpha, vertex_order = plans[index]
+        mixed = _interleave(schedules[child + 1], schedules[child])
+        if alpha:
+            share = 1.0 / (1.0 + alpha)
+            mixed = ([(o, lam * share) for o, lam in mixed]
+                     + [(vertex_order, alpha * share)])
+        schedules[index] = mixed
+    return schedules[0]
+
+
+def time_share_decompose(gateways, powers):
     """Mix decoding orders so the time-averaged corner rates equal Q.
 
-    Solves corner_matrix @ fractions = Q; a negative fraction means the
-    target lies outside the spanned cone, in which case the offending
-    order is reversed and the system re-solved (up to N retries).
+    At fixed powers the achievable rates form the polymatroid
+    f(S) = log2(1 + sum_S P_i g_i^2 / N0), whose vertices are the SIC
+    corners, and Q must lie on its base (Tse & Hanly, 1998).  The
+    decomposition splits on tight prefixes and otherwise line-searches
+    away from one vertex onto a tight set, so it finds a schedule whenever
+    Q is on the base, with at most as many orders as gateways with
+    positive received power (Caratheodory).  Gateways with no received
+    power need Q_i = 0 and are decoded first in every order.  Raises
+    DecompositionError when Q is off the base or the rebuilt mix misses Q
+    by more than 1e-9 (1 + sum Q).
     """
-    n = gateways.num_gws
-    if orders is None:
-        orders = cyclic_orders(n)
-    orders = [tuple(o) for o in orders]
-    if len(orders) != n:
-        raise ValueError(f"expected {n} decoding orders, got {len(orders)}")
-    for o in orders:
-        if sorted(o) != list(range(n)):
-            raise ValueError(f"order {o} is not a permutation of 0..{n - 1}")
     p = np.asarray(powers.powers if isinstance(powers, PowerAllocation) else powers,
                    dtype=float)
     q = gateways.queue_rates
-    if max_flips is None:
-        max_flips = n
-    orders = list(orders)
-    for _ in range(max_flips + 1):
-        corner_matrix = np.column_stack([corner_rates(gateways, p, o) for o in orders])
-        try:
-            lam = np.linalg.solve(corner_matrix, q)
-        except np.linalg.LinAlgError:
-            raise DecompositionError("corner rate vectors are linearly dependent")
-        neg = np.nonzero(lam < -1e-9)[0]
-        if neg.size == 0:
-            lam = np.maximum(lam, 0.0)
-            if abs(lam.sum() - 1.0) > 1e-6:
-                raise DecompositionError(
-                    f"fractions sum to {lam.sum():.6g}; the sum-rate "
-                    "constraint does not bind at these powers"
-                )
-            lam = lam / lam.sum()
-            return TimeShareSchedule(tuple(zip(orders, lam)))
-        worst = int(neg[np.argmin(lam[neg])])
-        orders[worst] = tuple(reversed(orders[worst]))
-    raise DecompositionError(
-        f"negative fraction persists for order {orders[worst]} after "
-        f"{max_flips} flips; the target rates are outside the face spanned "
-        "by these decoding orders"
-    )
+    received = p * gateways.gains ** 2
+    idle = tuple(i for i in range(gateways.num_gws) if received[i] <= 0)
+    live = [i for i in range(gateways.num_gws) if received[i] > 0]
+    for i in idle:
+        if q[i] > 0:
+            raise DecompositionError(
+                f"gateway {i} has queued data but no received power")
+    scale = 1.0 + float(q.sum())
+    tol = 1e-9 * scale
+    pieces = [((), 1.0)]
+    if live:
+        rates = {i: float(q[i]) for i in live}
+        power = {i: float(received[i]) for i in live}
+        noise = gateways.noise_power
+        full = _capacity(sum(power.values()), noise)
+        if abs(full - sum(rates.values())) > tol:
+            raise DecompositionError(
+                f"queue rates sum to {sum(rates.values()):.6g} but the sum "
+                f"capacity is {full:.6g}; the sum-rate constraint does not "
+                "bind at these powers")
+        order, k, slack = _tightest_prefix(live, rates, power, noise)
+        if slack < -tol:
+            raise DecompositionError(
+                f"gateways {sorted(order[:k])} need {-slack:.3g} bps/Hz more "
+                "than their capacity at these powers")
+        # a split on a prefix short of tight by s moves the mix by at most
+        # s, and there are fewer splits than gateways
+        pieces = _decompose(live, rates, power, noise, 1e-12 * scale)
+    entries = [(idle + order, lam) for order, lam in pieces]
+    mixed = sum(lam * corner_rates(gateways, p, order) for order, lam in entries)
+    miss = float(np.abs(mixed - q).max())
+    if miss > tol:
+        raise DecompositionError(
+            f"the schedule misses the queue rates by {miss:.3g} bps/Hz")
+    return TimeShareSchedule(tuple(entries))
 
 
 def weights_from_queues(queue_rates):

@@ -1,10 +1,10 @@
 """Exponential-size reference solvers for the stage-2 delivery problems.
 
-`seisrate.delivery` solves min-max power and the weighted sum rate by one
-sort plus block pooling.  These oracles solve the same problems the way
-the library once did, by enumerating every subset, so the tests can check
-the fast solvers against them on small instances.  They share no code
-with the library.
+`seisrate.delivery` solves min-total power in closed form, and min-max
+power and the weighted sum rate by one sort plus block pooling.  These
+oracles solve the same problems the way the library once did, by
+enumerating every subset, so the tests can check the fast solvers against
+them on small instances.  They share no code with the library.
 """
 
 import itertools
@@ -52,6 +52,35 @@ def min_max_lp(gateways):
     if not res.success:
         raise RuntimeError(f"linprog failed: {res.message}")
     return res.fun * n0
+
+
+def min_total_lp(gateways):
+    """Powers minimizing the total over all 2^N - 1 subset constraints
+    sum_S P_i g_i^2 >= N0 (2^Q(S) - 1) and the per-gateway cap, solved by
+    scipy in units of N0 like min_max_lp.
+
+    Returns None when the per-gateway cap makes the problem infeasible.
+    """
+    q = gateways.queue_rates
+    members = [i for i in range(gateways.num_gws) if q[i] > 0]
+    powers = np.zeros(gateways.num_gws)
+    if not members:
+        return powers
+    m = len(members)
+    masks = subset_masks(m)
+    g2 = gateways.gains[members] ** 2
+    rhs = 2.0 ** (masks @ q[members]) - 1.0
+    cap = gateways.per_gw_power_cap
+    n0 = gateways.noise_power
+    res = linprog(np.ones(m), A_ub=-masks * g2, b_ub=-rhs,
+                  bounds=[(0, None if cap is None else cap / n0)] * m,
+                  method="highs")
+    if res.status == 2:
+        return None
+    if not res.success:
+        raise RuntimeError(f"linprog failed: {res.message}")
+    powers[members] = res.x * n0
+    return powers
 
 
 def subset_gaps(gateways, powers):

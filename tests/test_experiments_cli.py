@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,25 @@ def write_spec(path, **overrides):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def schedule_miss(gateways, doc):
+    """Largest gap between Q and the mix of the CLI schedule's SIC corners,
+    over 1 + sum Q; the corners come from the capacity formula here."""
+    received = np.array(doc["powers_mW"]) / 1000.0 * gateways.gains ** 2
+    fractions = np.array([entry["fraction"] for entry in doc["schedule"]])
+    assert fractions.min() >= 0.0
+    assert fractions.sum() == pytest.approx(1.0, abs=1e-9)
+    mixed = np.zeros(gateways.num_gws)
+    for entry, lam in zip(doc["schedule"], fractions):
+        order = [i - 1 for i in entry["order"]]
+        assert sorted(order) == list(range(gateways.num_gws))
+        for k, i in enumerate(order):
+            interference = received[order[k + 1:]].sum()
+            mixed[i] += lam * math.log2(
+                1 + received[i] / (gateways.noise_power + interference))
+    q = gateways.queue_rates
+    return float(np.abs(mixed - q).max() / (1.0 + q.sum()))
 
 
 class TestExperimentSpec:
@@ -201,7 +221,21 @@ class TestCli:
         ref_peak = min_max_lp(load_instance(inst))
         assert doc["peak_mW"] == pytest.approx(ref_peak * 1000.0, rel=1e-9)
         assert max(doc["powers_mW"]) == doc["peak_mW"]
-        assert ("schedule" in doc) != ("schedule_error" in doc)
+        assert schedule_miss(load_instance(inst), doc) <= 1e-9
+
+    @pytest.mark.parametrize("gws", [40, 64])
+    def test_stage2_min_max_schedule_at_large_received_powers(self, tmp_path, gws):
+        # corner rates taken from a running suffix sum once went negative
+        # here: 64 gateways exited 2 with a math domain error, and 40 gave
+        # no schedule
+        inst, out = tmp_path / "gw.json", tmp_path / "res.json"
+        assert main(["gen", "--kind", "gateways", "--gws", str(gws),
+                     "--seed", "3", "--out", str(inst)]) == 0
+        assert main(["stage2", "min-max", "--instance", str(inst),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["schedule"]) <= gws
+        assert schedule_miss(load_instance(inst), doc) <= 1e-9
 
     def test_stage2_weighted_sixty_four_gateways(self, tmp_path):
         inst, out = tmp_path / "gw.json", tmp_path / "res.json"

@@ -54,6 +54,7 @@ from .search import (
     exhaustive_search,
     max_min_ant_system,
     no_optimization_baseline,
+    run_algorithm,
     simulated_annealing,
 )
 

@@ -41,8 +41,8 @@ from .model import (
     load_instance,
     save_instance,
 )
-from .rates import EvaluationMode, ORDER_FIXED, ORDER_LP
-from .search import AcoParams, PsoParams, SearchBudget, run_algorithm
+from .rates import evaluation_mode
+from .search import ALGORITHMS, AcoParams, PsoParams, SearchBudget, run_algorithm
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -79,16 +79,11 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
-def _mode_from_args(args):
-    policy = ORDER_LP if args.evaluator == "lp" else ORDER_FIXED
-    return EvaluationMode.scenario(args.scenario, policy)
-
-
 def _cmd_stage1(args):
     instance = load_instance(args.instance)
     if not isinstance(instance, ChannelMatrix):
         raise InstanceFormatError("stage1 needs a channel instance")
-    mode = _mode_from_args(args)
+    mode = evaluation_mode(args.evaluator, args.scenario)
     budget = SearchBudget(args.particles, args.iters,
                           sa_max_temperature=args.sa_tmax, seed=args.seed)
     aco = AcoParams(heuristic_mode=args.aco_heuristic,
@@ -207,8 +202,7 @@ def build_parser():
     s1sub = stage1.add_subparsers(dest="stage1_command", required=True)
     opt = s1sub.add_parser("optimize")
     opt.add_argument("--instance", required=True)
-    opt.add_argument("--algo", required=True,
-                     choices=("es", "dpso", "ampso", "as", "mmas", "sa", "baseline"))
+    opt.add_argument("--algo", required=True, choices=tuple(ALGORITHMS))
     opt.add_argument("--evaluator", choices=("fixed-order", "lp"),
                      default="fixed-order")
     opt.add_argument("--scenario", type=int, choices=(1, 2), default=1)

@@ -16,21 +16,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityLimitError, InstanceFormatError
+from .errors import InstanceFormatError
 from .model import ChannelMatrix, generate_rayleigh, load_instance
-from .rates import ORDER_FIXED, ORDER_LP, EvaluationMode, search_space_size
+from .rates import ORDER_FIXED, EvaluationMode, evaluation_mode, search_space_size
 from .search import (
+    ALGORITHMS,
+    EXHAUSTIVE_CAP,
     AcoParams,
-    HEURISTIC_GW_AVERAGE,
-    HEURISTIC_GW_AVERAGE_DEACTIVATION,
-    HEURISTIC_NONE,
     PsoParams,
     SearchBudget,
     exhaustive_search,
     run_algorithm,
+    scenario_heuristic,
 )
-
-KNOWN_ALGORITHMS = ("es", "dpso", "ampso", "as", "mmas", "sa", "baseline")
 
 TRACE_HEADER = ["algorithm", "budget_m", "budget_i", "replication",
                 "iteration", "best_sum_rate"]
@@ -61,14 +59,14 @@ class ExperimentSpec:
     noise_power: float = 1e-3
     output_dir: str = "."
     aco_heuristic: str | None = None    # default: adapted per scenario
-    es_cap: int = 2 ** 24
 
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         for algo in self.algorithms:
-            if algo not in KNOWN_ALGORITHMS:
+            if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
+        self.mode()   # rejects an unknown evaluator or scenario
         if self.instance_path is None and (self.num_gps is None or self.num_gws is None):
             raise ValueError("either instance_path or num_gps/num_gws is required")
 
@@ -91,21 +89,17 @@ class ExperimentSpec:
                 noise_power=doc.get("noise_power_mw", 1.0) / 1000.0,
                 output_dir=doc.get("output_dir", "."),
                 aco_heuristic=doc.get("aco_heuristic"),
-                es_cap=int(doc.get("es_cap", 2 ** 24)),
             )
         except KeyError as exc:
             raise InstanceFormatError(f"experiment spec missing field {exc}")
 
     def mode(self):
-        policy = ORDER_LP if self.evaluator in (ORDER_LP, "lp") else ORDER_FIXED
-        return EvaluationMode.scenario(self.scenario, policy)
+        return evaluation_mode(self.evaluator, self.scenario)
 
     def aco_params(self):
-        mode = self.aco_heuristic
-        if mode is None:
-            mode = (HEURISTIC_GW_AVERAGE if self.scenario == 1
-                    else HEURISTIC_GW_AVERAGE_DEACTIVATION)
-        return AcoParams(heuristic_mode=mode)
+        if self.aco_heuristic is None:
+            return AcoParams(heuristic_mode=scenario_heuristic(self.scenario))
+        return AcoParams(heuristic_mode=self.aco_heuristic)
 
     def channel_for(self, replication):
         if self.instance_path is not None:
@@ -122,9 +116,11 @@ class ExperimentSpec:
 def run_experiment(spec, write_traces=True):
     """Execute the campaign; returns summary rows and writes CSV files.
 
-    The mean-squared error column compares each algorithm's final value
-    with the per-replication exhaustive optimum and is omitted (empty)
-    when the search space exceeds the enumeration cap.
+    Exhaustive search runs once per replication, when `es` is requested or
+    the search space fits its cap; a requested `es` over the cap raises
+    CapacityLimitError before any search runs.  Its optimum gives the `es`
+    rows and the mean-squared error column, which compares each
+    algorithm's final value with it and is empty when ES did not run.
     """
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -133,13 +129,10 @@ def run_experiment(spec, write_traces=True):
     pso = PsoParams()
 
     channels = [spec.channel_for(r) for r in range(spec.replications)]
-    es_available = (
-        search_space_size(channels[0].num_gps, channels[0].num_gws) <= spec.es_cap
-    )
     es_values = None
-    if es_available:
-        es_values = np.array([exhaustive_search(ch, mode, cap=spec.es_cap)[1]
-                              for ch in channels])
+    if "es" in spec.algorithms or search_space_size(
+            channels[0].num_gps, channels[0].num_gws) <= EXHAUSTIVE_CAP:
+        es_values = np.array([exhaustive_search(ch, mode)[1] for ch in channels])
 
     trace_rows = []
     summary_rows = []
@@ -147,16 +140,16 @@ def run_experiment(spec, write_traces=True):
         for bi, (m, i) in enumerate(spec.budgets):
             finals = np.empty(spec.replications)
             for r in range(spec.replications):
-                budget = SearchBudget(m, i, seed=_seed_from(
-                    (spec.master_seed, r, ai, bi)))
-                if algo == "es" and not es_available:
-                    raise CapacityLimitError(
-                        "exhaustive search requested beyond the enumeration cap"
-                    )
-                trace = run_algorithm(algo, channels[r], budget, mode,
-                                      pso_params=pso, aco_params=aco)
-                finals[r] = trace.best_sum_rate
-                for it, val in enumerate(trace.best_per_iteration):
+                if algo == "es":
+                    history = np.full(i, es_values[r])
+                else:
+                    budget = SearchBudget(m, i, seed=_seed_from(
+                        (spec.master_seed, r, ai, bi)))
+                    history = run_algorithm(algo, channels[r], budget, mode,
+                                            pso_params=pso,
+                                            aco_params=aco).best_per_iteration
+                finals[r] = history[-1]
+                for it, val in enumerate(history):
                     trace_rows.append([algo, m, i, r, it, repr(float(val))])
             mse = ""
             if es_values is not None:
@@ -201,7 +194,7 @@ class GwSizingSpec:
             raise ValueError("counts must be positive")
         if self.required_kbps <= 0 or self.bandwidth_khz <= 0:
             raise ValueError("required_kbps and bandwidth_khz must be positive")
-        if self.algorithm not in KNOWN_ALGORITHMS:
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
     @classmethod
@@ -233,9 +226,7 @@ def run_gw_sizing(spec):
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     mode = EvaluationMode.scenario(spec.scenario)
-    heuristic = (HEURISTIC_GW_AVERAGE if spec.scenario == 1
-                 else HEURISTIC_GW_AVERAGE_DEACTIVATION)
-    aco = AcoParams(heuristic_mode=heuristic)
+    aco = AcoParams(heuristic_mode=scenario_heuristic(spec.scenario))
     m, i = spec.budget
     rows = []
     supported = {}

@@ -31,8 +31,16 @@ ORDER_LP = "lp-exact"
 UNDECODED_INTERFERES = "interferes"
 UNDECODED_SILENT = "silent"
 
-# evaluate_lp generates 2^|decoded set| - 1 constraints per gateway
-LP_DECODED_SET_CAP = 20
+# evaluate_lp builds 2^d_i - 1 subset rows for a gateway decoding d_i
+# geophones, and the dense tableau grows about 4x per decoded geophone.
+# 4095 rows (d = 12 on one gateway, or 11 on each of two) take about 0.4 s
+# and 0.3 GB peak RSS on a 2-core machine; one more geophone, 4x that.
+LP_ROW_CAP = 4095
+
+# evaluator names of the CLI and campaign specs; the order policies
+# themselves are accepted as well
+EVALUATORS = {"fixed-order": ORDER_FIXED, "lp": ORDER_LP,
+              ORDER_FIXED: ORDER_FIXED, ORDER_LP: ORDER_LP}
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +126,14 @@ class EvaluationMode:
         if number == 2:
             return cls(order_policy, UNDECODED_SILENT)
         raise ValueError("scenario must be 1 or 2")
+
+
+def evaluation_mode(evaluator, scenario):
+    """EvaluationMode for an evaluator name (see EVALUATORS) and scenario."""
+    if evaluator not in EVALUATORS:
+        raise ValueError(f"unknown evaluator {evaluator!r}; "
+                         f"expected one of {', '.join(EVALUATORS)}")
+    return EvaluationMode.scenario(scenario, EVALUATORS[evaluator])
 
 
 def link_capacity(signal_power, gain, noise_plus_interference):
@@ -213,6 +229,13 @@ def _lp_constraints(channel, flags, mode):
     h2 = channel.gains ** 2
     p, n0 = channel.gp_power, channel.noise_power
     active = _active_mask(f, mode.undecoded_gp_policy)
+    sizes = f.sum(axis=0).tolist()
+    total_rows = sum((1 << d) - 1 for d in sizes)
+    if total_rows > LP_ROW_CAP:
+        raise CapacityLimitError(
+            f"decoded sets of sizes {sizes} need {total_rows} subset rows; "
+            f"lp-exact caps them at {LP_ROW_CAP}"
+        )
     variables = np.nonzero(f.any(axis=1))[0]
     var_pos = {int(j): t for t, j in enumerate(variables)}
     rows, rhs = [], []
@@ -221,11 +244,6 @@ def _lp_constraints(channel, flags, mode):
         d = decoded.size
         if d == 0:
             continue
-        if d > LP_DECODED_SET_CAP:
-            raise CapacityLimitError(
-                f"gateway {i} decodes {d} geophones; lp-exact caps the decoded "
-                f"set at {LP_DECODED_SET_CAP}"
-            )
         undec = ~f[:, i] & active
         base_int = p * float(h2[undec, i].sum())
         h2d = h2[decoded, i]

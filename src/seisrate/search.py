@@ -38,6 +38,13 @@ HEURISTIC_GW_AVERAGE_DEACTIVATION = "gw-average+gp-deactivation"
 _TAU_SHIFT_EPS = 1e-6
 
 
+def scenario_heuristic(scenario):
+    """Default ACO prior for a scenario: gain-based when undecoded geophones
+    interfere (1), plus weak-geophone deactivation when they fall silent (2)."""
+    return (HEURISTIC_GW_AVERAGE if scenario == 1
+            else HEURISTIC_GW_AVERAGE_DEACTIVATION)
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Computational budget: M population members, I iterations.
@@ -118,15 +125,27 @@ class SearchTrace:
 
 
 class _Objective:
-    """Counts evaluations and dispatches to the configured evaluator."""
+    """Counts evaluations, dispatches to the configured evaluator and keeps
+    the best assignment seen.
+
+    A batch replaces the best only with a strictly larger value, and the
+    first maximizer of the batch wins a tie.  record() appends the best so
+    far to the per-iteration history that trace() returns.
+    """
 
     def __init__(self, channel, mode):
         self.channel = channel
         self.mode = mode
+        self.shape = (channel.num_gps, channel.num_gws)
         self.count = 0
+        self.best_sum = -np.inf
+        self.best_flags = None
+        self.history = []
+        self.t0 = time.perf_counter()
 
     def batch(self, flags_batch):
-        flags_batch = np.asarray(flags_batch)
+        """Sum-rates of (B, K, N) or flat (B, K*N) flags."""
+        flags_batch = np.asarray(flags_batch).reshape(-1, *self.shape)
         self.count += flags_batch.shape[0]
         if self.mode.order_policy == ORDER_LP:
             sums = np.empty(flags_batch.shape[0])
@@ -134,75 +153,57 @@ class _Objective:
                 _, sums[t] = evaluate_lp(
                     self.channel, DecodingAssignment(flags_batch[t]), self.mode
                 )
-            return sums
-        _, sums = evaluate_fixed_order_batch(self.channel, flags_batch, self.mode)
+        else:
+            _, sums = evaluate_fixed_order_batch(self.channel, flags_batch, self.mode)
+        t = int(np.argmax(sums))
+        if sums[t] > self.best_sum:
+            self.best_sum = float(sums[t])
+            self.best_flags = np.array(flags_batch[t], dtype=np.int8)
         return sums
 
     def single(self, flags):
         return float(self.batch(flags[None])[0])
 
-
-class _BestTracker:
-    def __init__(self):
-        self.best_sum = -np.inf
-        self.best_flags = None
-        self.history = []
-
-    def update_batch(self, flags_batch, sums):
-        t = int(np.argmax(sums))
-        if sums[t] > self.best_sum:
-            self.best_sum = float(sums[t])
-            self.best_flags = np.array(flags_batch[t], dtype=np.int8)
-
     def record(self):
         self.history.append(self.best_sum)
 
-    def trace(self, objective, t0, algorithm):
+    def trace(self, algorithm):
         return SearchTrace(
             best_per_iteration=np.array(self.history),
             best_assignment=DecodingAssignment(self.best_flags),
             best_sum_rate=self.best_sum,
-            evaluations=objective.count,
-            wall_time=time.perf_counter() - t0,
+            evaluations=self.count,
+            wall_time=time.perf_counter() - self.t0,
             algorithm=algorithm,
         )
 
 
-def _enumerate_flags(k, n, start, stop):
-    """Assignments with flat bit patterns for integers [start, stop), in
-    lexicographic order of the flattened K x N matrix."""
-    d = k * n
+def _enumerate_flags(d, start, stop):
+    """Flat d-bit patterns of the integers [start, stop), most significant
+    bit first: lexicographic order of the flattened K x N matrix."""
     idx = np.arange(start, stop, dtype=np.uint64)
     shifts = np.arange(d - 1, -1, -1, dtype=np.uint64)
-    bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-    return bits.reshape(-1, k, n)
+    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.int8)
 
 
-def exhaustive_search(channel, mode=EvaluationMode(), cap=EXHAUSTIVE_CAP):
+def exhaustive_search(channel, mode=EvaluationMode()):
     """Global maximizer over all 2^(K*N) assignments.
 
     Ties resolve to the lexicographically smallest flag matrix.  Refuses
-    search spaces above the cap.
+    search spaces above EXHAUSTIVE_CAP.
     """
     total = search_space_size(channel.num_gps, channel.num_gws)
-    if total > cap:
+    if total > EXHAUSTIVE_CAP:
         raise CapacityLimitError(
-            f"search space {total} exceeds the enumeration cap {cap}; "
+            f"search space {total} exceeds the enumeration cap {EXHAUSTIVE_CAP}; "
             "use a metaheuristic"
         )
     objective = _Objective(channel, mode)
-    best_sum = -np.inf
-    best_flags = None
     chunk = 1 << 14
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        flags = _enumerate_flags(channel.num_gps, channel.num_gws, start, stop)
-        sums = objective.batch(flags)
-        t = int(np.argmax(sums))
-        if sums[t] > best_sum:
-            best_sum = float(sums[t])
-            best_flags = flags[t]
-    return DecodingAssignment(best_flags), best_sum
+        objective.batch(_enumerate_flags(channel.num_gps * channel.num_gws,
+                                         start, min(start + chunk, total)))
+    return DecodingAssignment(objective.best_flags), objective.best_sum
 
 
 def no_optimization_baseline(channel, mode=EvaluationMode()):
@@ -221,17 +222,13 @@ def dpso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode()):
     """Discrete binary PSO: velocity is the log-odds that a bit is one."""
     rng = budget.rng()
     objective = _Objective(channel, mode)
-    tracker = _BestTracker()
-    t0 = time.perf_counter()
-    k, n = channel.num_gps, channel.num_gws
-    m, d = budget.population, k * n
+    m, d = budget.population, channel.num_gps * channel.num_gws
 
     x = (rng.random((m, d)) < 0.5).astype(np.int8)
     v = rng.uniform(-pso_params.v_max_dpso, pso_params.v_max_dpso, (m, d))
     pbest = x.copy()
-    pbest_val = objective.batch(x.reshape(m, k, n))
-    tracker.update_batch(x.reshape(m, k, n), pbest_val)
-    tracker.record()
+    pbest_val = objective.batch(x)
+    objective.record()
 
     for _ in range(budget.iterations - 1):
         g = int(np.argmax(pbest_val))
@@ -241,13 +238,12 @@ def dpso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode()):
         np.clip(v, -pso_params.v_max_dpso, pso_params.v_max_dpso, out=v)
         rho = rng.random((m, d))
         x = (rho < sigmoid(v)).astype(np.int8)
-        vals = objective.batch(x.reshape(m, k, n))
+        vals = objective.batch(x)
         improved = vals > pbest_val
         pbest[improved] = x[improved]
         pbest_val[improved] = vals[improved]
-        tracker.update_batch(x.reshape(m, k, n), vals)
-        tracker.record()
-    return tracker.trace(objective, t0, "dpso")
+        objective.record()
+    return objective.trace("dpso")
 
 
 def angle_modulation_bits(params, num_bits):
@@ -270,19 +266,15 @@ def ampso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode()):
     """Angle-modulated PSO: continuous search over 4-parameter generators."""
     rng = budget.rng()
     objective = _Objective(channel, mode)
-    tracker = _BestTracker()
-    t0 = time.perf_counter()
-    k, n = channel.num_gps, channel.num_gws
-    m, d = budget.population, k * n
+    m, d = budget.population, channel.num_gps * channel.num_gws
 
     s = rng.uniform(-1.0, 1.0, size=(m, 4))
     # random initial velocities keep even a lone particle moving
     v = rng.uniform(-pso_params.v_max_ampso, pso_params.v_max_ampso, (m, 4))
     bits = angle_modulation_bits(s, d)
     pbest = s.copy()
-    pbest_val = objective.batch(bits.reshape(m, k, n))
-    tracker.update_batch(bits.reshape(m, k, n), pbest_val)
-    tracker.record()
+    pbest_val = objective.batch(bits)
+    objective.record()
 
     for _ in range(budget.iterations - 1):
         g = int(np.argmax(pbest_val))
@@ -294,13 +286,12 @@ def ampso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode()):
         np.clip(v, -pso_params.v_max_ampso, pso_params.v_max_ampso, out=v)
         s = s + v
         bits = angle_modulation_bits(s, d)
-        vals = objective.batch(bits.reshape(m, k, n))
+        vals = objective.batch(bits)
         improved = vals > pbest_val
         pbest[improved] = s[improved]
         pbest_val[improved] = vals[improved]
-        tracker.update_batch(bits.reshape(m, k, n), vals)
-        tracker.record()
-    return tracker.trace(objective, t0, "ampso")
+        objective.record()
+    return objective.trace("ampso")
 
 
 def build_heuristic(channel, heuristic_mode,
@@ -349,10 +340,7 @@ def _aco_run(channel, budget, params, mode, best_ant_only, clamp, name,
              observer=None):
     rng = budget.rng()
     objective = _Objective(channel, mode)
-    tracker = _BestTracker()
-    t0 = time.perf_counter()
-    k, n = channel.num_gps, channel.num_gws
-    m, d = budget.population, k * n
+    m, d = budget.population, channel.num_gps * channel.num_gws
     eta = build_heuristic(channel, params.heuristic_mode,
                           params.deactivation_percentile,
                           params.deactivation_boost)
@@ -361,11 +349,10 @@ def _aco_run(channel, budget, params, mode, best_ant_only, clamp, name,
     for _ in range(budget.iterations):
         p1 = _aco_probabilities(tau, eta, params)
         bits = (rng.random((m, d)) < p1).astype(np.int8)
-        vals = objective.batch(bits.reshape(m, k, n))
-        tracker.update_batch(bits.reshape(m, k, n), vals)
-        tracker.record()
+        vals = objective.batch(bits)
+        objective.record()
         tau *= 1.0 - params.evaporation
-        denom = tracker.best_sum if tracker.best_sum > 0 else 1.0
+        denom = objective.best_sum if objective.best_sum > 0 else 1.0
         if best_ant_only:
             r = int(np.argmax(vals))
             deposit = max(float(vals[r]), 0.0) / denom
@@ -379,7 +366,7 @@ def _aco_run(channel, budget, params, mode, best_ant_only, clamp, name,
             np.clip(tau, params.tau_min, params.tau_max, out=tau)
         if observer is not None:
             observer(tau.copy())
-    return tracker.trace(objective, t0, name)
+    return objective.trace(name)
 
 
 def ant_system(channel, budget, aco_params=AcoParams(), mode=EvaluationMode(),
@@ -431,10 +418,7 @@ def simulated_annealing(channel, budget, mode=EvaluationMode()):
     """
     rng = budget.rng()
     objective = _Objective(channel, mode)
-    tracker = _BestTracker()
-    t0 = time.perf_counter()
-    k, n = channel.num_gps, channel.num_gws
-    d = k * n
+    d = channel.num_gps * channel.num_gws
     t_max = budget.max_temperature
     t_floor = t_max * SA_FLOOR_RATIO
     total_moves = budget.evaluation_budget
@@ -442,9 +426,7 @@ def simulated_annealing(channel, budget, mode=EvaluationMode()):
 
     def fresh_state():
         flags = (rng.random(d) < 0.5).astype(np.int8)
-        val = objective.single(flags.reshape(k, n))
-        tracker.update_batch(flags.reshape(1, k, n), np.array([val]))
-        return flags, val
+        return flags, objective.single(flags)
 
     state, state_val = fresh_state()
     temperature = t_max
@@ -453,9 +435,8 @@ def simulated_annealing(channel, budget, mode=EvaluationMode()):
         flip = rng.integers(d)
         cand = state.copy()
         cand[flip] ^= 1
-        cand_val = objective.single(cand.reshape(k, n))
-        tracker.update_batch(cand.reshape(1, k, n), np.array([cand_val]))
-        delta = cand_val - tracker.best_sum
+        cand_val = objective.single(cand)
+        delta = cand_val - objective.best_sum
         if cand_val >= state_val or \
                 rng.random() < sa_acceptance_probability(delta, temperature):
             state, state_val = cand, cand_val
@@ -464,40 +445,44 @@ def simulated_annealing(channel, budget, mode=EvaluationMode()):
             temperature = t_max
             state, state_val = fresh_state()
         if (move + 1) % record_every == 0:
-            tracker.record()
-    if not tracker.history or len(tracker.history) < budget.iterations:
-        tracker.record()
-    return tracker.trace(objective, t0, "sa")
+            objective.record()
+    if len(objective.history) < budget.iterations:
+        objective.record()
+    return objective.trace("sa")
 
 
+def _constant_trace(name, assignment, best, budget, evaluations):
+    """Trace of a deterministic method: its value at every iteration."""
+    hist = np.full(budget.iterations if budget else 1, best)
+    return SearchTrace(hist, assignment, best, evaluations, 0.0, name)
+
+
+def _es(channel, budget, mode, pso_params, aco_params):
+    assignment, best = exhaustive_search(channel, mode)
+    return _constant_trace("es", assignment, best, budget,
+                           search_space_size(channel.num_gps, channel.num_gws))
+
+
+def _baseline(channel, budget, mode, pso_params, aco_params):
+    assignment, best = no_optimization_baseline(channel, mode)
+    return _constant_trace("baseline", assignment, best, budget, 1)
+
+
+# every stage-1 method, as runner(channel, budget, mode, pso_params, aco_params)
 ALGORITHMS = {
-    "es": None,          # handled separately: deterministic, no budget
-    "baseline": None,
-    "dpso": dpso,
-    "ampso": ampso,
-    "as": ant_system,
-    "mmas": max_min_ant_system,
-    "sa": simulated_annealing,
+    "es": _es,
+    "baseline": _baseline,
+    "dpso": lambda ch, budget, mode, pso, aco: dpso(ch, budget, pso, mode),
+    "ampso": lambda ch, budget, mode, pso, aco: ampso(ch, budget, pso, mode),
+    "as": lambda ch, budget, mode, pso, aco: ant_system(ch, budget, aco, mode),
+    "mmas": lambda ch, budget, mode, pso, aco: max_min_ant_system(ch, budget, aco, mode),
+    "sa": lambda ch, budget, mode, pso, aco: simulated_annealing(ch, budget, mode),
 }
 
 
 def run_algorithm(name, channel, budget, mode=EvaluationMode(),
                   pso_params=PsoParams(), aco_params=AcoParams()):
     """Uniform front end used by the CLI and the experiment harness."""
-    if name == "es":
-        assignment, best = exhaustive_search(channel, mode)
-        hist = np.full(budget.iterations if budget else 1, best)
-        return SearchTrace(hist, assignment, best,
-                           search_space_size(channel.num_gps, channel.num_gws),
-                           0.0, "es")
-    if name == "baseline":
-        assignment, best = no_optimization_baseline(channel, mode)
-        hist = np.full(budget.iterations if budget else 1, best)
-        return SearchTrace(hist, assignment, best, 1, 0.0, "baseline")
-    if name in ("dpso", "ampso"):
-        return ALGORITHMS[name](channel, budget, pso_params, mode)
-    if name in ("as", "mmas"):
-        return ALGORITHMS[name](channel, budget, aco_params, mode)
-    if name == "sa":
-        return simulated_annealing(channel, budget, mode)
-    raise ValueError(f"unknown algorithm {name!r}")
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    return ALGORITHMS[name](channel, budget, mode, pso_params, aco_params)

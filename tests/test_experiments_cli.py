@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 
 from oracles import min_max_lp, weighted_kkt_gap, weighted_objective
-from seisrate.cli import main
-from seisrate.errors import InstanceFormatError
+from seisrate import experiments
+from seisrate.cli import build_parser, main
+from seisrate.errors import CapacityLimitError, InstanceFormatError
 from seisrate.experiments import ExperimentSpec, GwSizingSpec, run_experiment, run_gw_sizing
 from seisrate.model import fixture_path, load_instance
+from seisrate.search import ALGORITHMS, exhaustive_search
 
 
 def write_spec(path, **overrides):
@@ -73,6 +76,28 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(algorithms=("dpso",), budgets=((2, 2),))
 
+    def test_accepts_every_registered_algorithm(self):
+        spec = ExperimentSpec(algorithms=tuple(ALGORITHMS), budgets=((2, 2),),
+                              num_gps=3, num_gws=2)
+        assert set(spec.algorithms) == set(ALGORITHMS)
+        for name in ("ES", "pso", "aco", ""):
+            with pytest.raises(ValueError, match="unknown algorithm"):
+                ExperimentSpec(algorithms=(name,), budgets=((2, 2),),
+                               num_gps=3, num_gws=2)
+
+    @pytest.mark.parametrize("evaluator", ["fixed-order", "lp",
+                                           "descending-gain-corner", "lp-exact"])
+    def test_accepted_evaluators(self, evaluator):
+        spec = ExperimentSpec(algorithms=("dpso",), budgets=((2, 2),),
+                              num_gps=3, num_gws=2, evaluator=evaluator)
+        assert (spec.mode().order_policy == "lp-exact") == evaluator.startswith("lp")
+
+    def test_unknown_evaluator_exits_invalid(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "s.json", evaluator="LP")
+        assert main(["experiment", "run", str(spec)]) == 2
+        assert "unknown evaluator 'LP'" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
 
 class TestRunExperiment:
     def test_outputs_and_determinism(self, tmp_path):
@@ -114,6 +139,45 @@ class TestRunExperiment:
         )
         rows = run_experiment(spec, write_traces=False)
         assert float(rows[0][4]) == pytest.approx(3.813, abs=1e-3)
+
+    def test_es_rows_are_the_optimum_behind_mse(self, tmp_path):
+        spec = ExperimentSpec.from_json(write_spec(
+            tmp_path / "s.json", budgets=[[4, 6], [2, 3]], replications=3))
+        run_experiment(spec)
+        optima = [exhaustive_search(spec.channel_for(r), spec.mode())[1]
+                  for r in range(spec.replications)]
+        traces = read_csv(tmp_path / "traces.csv")[1:]
+        es_rows = [row for row in traces if row[0] == "es"]
+        assert len(es_rows) == (6 + 3) * 3
+        for _, _, _, r, _, value in es_rows:
+            assert float(value) == optima[int(r)]
+        summary = read_csv(tmp_path / "summary.csv")[1:]
+        assert len(summary) == 3 * 2
+        for algo, m, i, _, _, _, mse in summary:
+            finals = [float(row[5]) for row in traces
+                      if row[:3] == [algo, m, i] and int(row[4]) == int(i) - 1]
+            assert float(mse) == np.mean((np.array(finals) - optima) ** 2)
+
+    def test_es_over_the_cap_exits_before_any_search(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran before the capacity check")
+
+        monkeypatch.setattr(experiments, "run_algorithm", no_search)
+        spec = write_spec(tmp_path / "s.json", algorithms=["as", "es"],
+                          num_gps=30, num_gws=5, replications=1)
+        with pytest.raises(CapacityLimitError):
+            run_experiment(ExperimentSpec.from_json(spec))
+        assert main(["experiment", "run", str(spec)]) == 4
+        assert "capacity exceeded" in capsys.readouterr().err
+        assert not (tmp_path / "traces.csv").exists()
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_over_the_cap_without_es_leaves_mse_empty(self, tmp_path):
+        rows = run_experiment(ExperimentSpec.from_json(write_spec(
+            tmp_path / "s.json", algorithms=["as"], num_gps=30, num_gws=1,
+            replications=1)))
+        assert [row[-1] for row in rows] == [""]
 
     def test_trace_lengths_match_budget(self, tmp_path):
         run_experiment(ExperimentSpec.from_json(write_spec(tmp_path / "s.json")))
@@ -283,6 +347,25 @@ class TestCli:
             "N0_mW": 1.0, "Pmax_mW": 1.0,
         }))
         assert main(["stage2", "min-total", "--instance", str(bad)]) == 3
+
+    def test_algo_choices_are_the_registry(self):
+        def subcommands(parser):
+            return next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+
+        optimize = subcommands(subcommands(build_parser())["stage1"])["optimize"]
+        algo = next(a for a in optimize._actions if a.dest == "algo")
+        assert set(algo.choices) == set(ALGORITHMS)
+
+    def test_exit_capacity_on_oversized_lp(self, tmp_path, capsys):
+        # about 32 of 64 geophones decoded on one gateway: 2^32 subset rows
+        inst = tmp_path / "wide.json"
+        assert main(["gen", "--kind", "channel", "--gps", "64", "--gws", "1",
+                     "--out", str(inst)]) == 0
+        assert main(["stage1", "optimize", "--instance", str(inst),
+                     "--algo", "sa", "--evaluator", "lp",
+                     "--particles", "1", "--iters", "1"]) == 4
+        assert "subset rows" in capsys.readouterr().err
 
     def test_exit_capacity_on_oversized_es(self, tmp_path, capsys):
         inst = tmp_path / "big.json"

@@ -258,6 +258,12 @@ class TestEvaluateLp:
         with pytest.raises(CapacityLimitError):
             evaluate_lp(channel, DecodingAssignment.all_ones(22, 1))
 
+    @pytest.mark.parametrize("k, n", [(13, 1), (12, 2)])
+    def test_row_cap_counts_every_gateway(self, k, n):
+        # 8191 rows on one gateway, or 2 x 4095 on two: over the 4095-row cap
+        with pytest.raises(CapacityLimitError, match="subset rows"):
+            evaluate_lp(random_channel(k, n, 0), DecodingAssignment.all_ones(k, n))
+
 
 class TestSearchSpaceSize:
     def test_worked_values(self):

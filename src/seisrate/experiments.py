@@ -42,6 +42,18 @@ def _seed_from(parts):
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
+def _read_spec(path, kind, keys):
+    """JSON spec document; a key outside `keys` is an error, not ignored."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise InstanceFormatError(
+            f"{kind} spec has unknown field(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(keys)}")
+    return doc
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Stage-1 campaign description (see README for the JSON layout)."""
@@ -70,10 +82,13 @@ class ExperimentSpec:
         if self.instance_path is None and (self.num_gps is None or self.num_gws is None):
             raise ValueError("either instance_path or num_gps/num_gws is required")
 
+    KEYS = ("algorithms", "budgets", "replications", "master_seed", "scenario",
+            "evaluator", "instance", "num_gps", "num_gws", "gp_power_mw",
+            "noise_power_mw", "output_dir", "aco_heuristic")
+
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_spec(path, "experiment", cls.KEYS)
         try:
             return cls(
                 algorithms=tuple(doc["algorithms"]),
@@ -116,8 +131,9 @@ class ExperimentSpec:
 def run_experiment(spec, write_traces=True):
     """Execute the campaign; returns summary rows and writes CSV files.
 
-    Exhaustive search runs once per replication, when `es` is requested or
-    the search space fits its cap; a requested `es` over the cap raises
+    Exhaustive search runs once per distinct channel (once per replication,
+    or once for an instance file), when `es` is requested or the search
+    space fits its cap; a requested `es` over the cap raises
     CapacityLimitError before any search runs.  Its optimum gives the `es`
     rows and the mean-squared error column, which compares each
     algorithm's final value with it and is empty when ES did not run.
@@ -128,11 +144,16 @@ def run_experiment(spec, write_traces=True):
     aco = spec.aco_params()
     pso = PsoParams()
 
-    channels = [spec.channel_for(r) for r in range(spec.replications)]
+    # an instance campaign replicates one channel: load and search it once
+    distinct = ([spec.channel_for(0)] if spec.instance_path is not None
+                else [spec.channel_for(r) for r in range(spec.replications)])
+    repeats = spec.replications // len(distinct)
+    channels = distinct * repeats
     es_values = None
     if "es" in spec.algorithms or search_space_size(
             channels[0].num_gps, channels[0].num_gws) <= EXHAUSTIVE_CAP:
-        es_values = np.array([exhaustive_search(ch, mode)[1] for ch in channels])
+        es_values = np.array(
+            [exhaustive_search(ch, mode)[1] for ch in distinct] * repeats)
 
     trace_rows = []
     summary_rows = []
@@ -197,10 +218,13 @@ class GwSizingSpec:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
+    KEYS = ("gp_counts", "gw_counts", "algorithm", "budget", "replications",
+            "master_seed", "scenario", "required_kbps", "bandwidth_khz",
+            "gp_power_mw", "noise_power_mw", "output_dir")
+
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_spec(path, "sizing", cls.KEYS)
         try:
             return cls(
                 gp_counts=tuple(doc["gp_counts"]),

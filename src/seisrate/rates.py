@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -181,34 +180,45 @@ def sic_corner_rates(channel, assignment, gw_index, permutation):
     return out
 
 
+def gateway_bounds(channel, gw_index, decoded, transmitting):
+    """SIC rate bounds at one gateway under descending-gain decoding.
+
+    decoded, transmitting: (B, K) boolean; decoded[b, j] says whether this
+    gateway decodes geophone j, transmitting[b, j] whether geophone j is
+    on, so that it interferes here when it is not decoded.  Returns the
+    (B, K) bounds, inf where the geophone is not decoded here.
+    """
+    order = _decoding_order(channel.gains[:, gw_index])
+    h2i = channel.gains[order, gw_index] ** 2
+    p, n0 = channel.gp_power, channel.noise_power
+    fi = decoded[:, order]                   # decoded flags, decode order
+    undec = (~fi) & transmitting[:, order]
+    base_int = p * (undec @ h2i)             # (B,)
+    w = fi * h2i
+    suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1] - w
+    denom = n0 + p * suffix + base_int[:, None]
+    r = np.log2(1.0 + p * h2i / denom)       # denom >= n0 > 0
+    bounds = np.full(fi.shape, np.inf)
+    bounds[:, order] = np.where(fi, r, np.inf)
+    return bounds
+
+
 def evaluate_fixed_order_batch(channel, flags_batch, mode):
     """Sum-rates of a batch of assignments under descending-gain SIC.
 
     flags_batch: (B, K, N) binary array. Returns (rates (B, K), sums (B,)).
+    A geophone's rate is the minimum of its gateway_bounds over the
+    gateways that decode it, and 0 when none does.
     """
     flags = np.asarray(flags_batch)
     if flags.ndim != 3 or flags.shape[1:] != (channel.num_gps, channel.num_gws):
         raise ValueError("flags_batch must be (B, K, N) matching the channel")
     f = flags.astype(bool)
-    b, k, n = f.shape
-    h2 = channel.gains ** 2
-    p, n0 = channel.gp_power, channel.noise_power
     active = _active_mask(f, mode.undecoded_gp_policy)  # (B, K)
-    bounds = np.full((b, k), np.inf)
-    for i in range(n):
-        order = _decoding_order(channel.gains[:, i])
-        fi = f[:, order, i]                      # decoded flags, decode order
-        h2i = h2[order, i]
-        undec = (~fi) & active[:, order]
-        base_int = p * (undec @ h2i)             # (B,)
-        w = fi * h2i
-        suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1] - w
-        denom = n0 + p * suffix + base_int[:, None]
-        with np.errstate(divide="ignore"):
-            r = np.log2(1.0 + p * h2i / denom)
-        gw_bound = np.full((b, k), np.inf)
-        gw_bound[:, order] = np.where(fi, r, np.inf)
-        np.minimum(bounds, gw_bound, out=bounds)
+    bounds = gateway_bounds(channel, 0, f[:, :, 0], active)
+    for i in range(1, channel.num_gws):
+        np.minimum(bounds, gateway_bounds(channel, i, f[:, :, i], active),
+                   out=bounds)
     rates = np.where(np.isfinite(bounds), bounds, 0.0)
     return rates, rates.sum(axis=1)
 
@@ -278,53 +288,6 @@ def evaluate(channel, assignment, mode=EvaluationMode()):
     if mode.order_policy == ORDER_LP:
         return evaluate_lp(channel, assignment, mode)
     return evaluate_fixed_order(channel, assignment, mode)
-
-
-def lp_constraint_slacks(channel, assignment, rate_vector, mode=EvaluationMode()):
-    """Slack rhs - a @ r of every subset constraint at the given rates."""
-    variables, a, rhs = _lp_constraints(channel, assignment.flags, mode)
-    if variables.size == 0:
-        return np.array([])
-    return rhs - a @ rate_vector.rates[variables]
-
-
-def best_corner_sum(channel, assignment, mode=EvaluationMode()):
-    """Max over all per-gateway decoding permutations of the min-across-GW
-    corner sum.  Exponential; an oracle for small decoded sets only."""
-    f = assignment.flags.astype(bool)
-    k, n = f.shape
-    decoded_sets = [np.nonzero(f[:, i])[0].tolist() for i in range(n)]
-    best = -np.inf
-
-    def corner_bounds(i, perm):
-        h2 = channel.gains[:, i] ** 2
-        p, n0 = channel.gp_power, channel.noise_power
-        active = _active_mask(f, mode.undecoded_gp_policy)
-        undec = [m for m in range(k) if not f[m, i] and active[m]]
-        base = p * sum(h2[m] for m in undec)
-        out = {}
-        for pos, j in enumerate(perm):
-            later = p * sum(h2[m] for m in perm[pos + 1:])
-            out[j] = math.log2(1.0 + p * h2[j] / (n0 + later + base))
-        return out
-
-    def recurse(i, bounds):
-        nonlocal best
-        if i == n:
-            rates = np.zeros(k)
-            for j in range(k):
-                if f[j].any():
-                    rates[j] = min(bounds[t][j] for t in range(n) if f[j, t])
-            best = max(best, float(rates.sum()))
-            return
-        if not decoded_sets[i]:
-            recurse(i + 1, bounds + [{}])
-            return
-        for perm in permutations(decoded_sets[i]):
-            recurse(i + 1, bounds + [corner_bounds(i, perm)])
-
-    recurse(0, [])
-    return best
 
 
 def search_space_size(num_gps, num_gws):

@@ -1,10 +1,17 @@
-"""Exponential-size reference solvers for the stage-2 delivery problems.
+"""Exponential-size reference solvers for both stages.
 
 `seisrate.delivery` solves min-total power in closed form, and min-max
 power and the weighted sum rate by one sort plus block pooling.  These
 oracles solve the same problems the way the library once did, by
 enumerating every subset, so the tests can check the fast solvers against
-them on small instances.  They share no code with the library.
+them on small instances.  The stage-2 oracles share no code with the
+library.
+
+For stage 1, `lp_constraint_slacks` and `best_corner_sum` check the two rate
+evaluators from first principles, and `brute_force_exhaustive` is the
+exhaustive search the library once ran: every flat flag pattern through
+`evaluate_fixed_order_batch`.  It shares the evaluator on purpose, since
+the pattern-table search must reproduce that evaluator's sums bit for bit.
 """
 
 import itertools
@@ -12,6 +19,8 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog, minimize
+
+from seisrate.rates import UNDECODED_SILENT, evaluate_fixed_order_batch
 
 LN2 = math.log(2.0)
 
@@ -196,3 +205,77 @@ def weighted_slsqp(gateways, weights, total_cap):
     if not res.success:
         raise RuntimeError(f"SLSQP failed: {res.message}")
     return -res.fun
+
+
+def _interference(channel, flags, gw, mode):
+    """N0 plus the received power of the geophones that gateway gw does
+    not decode but that transmit: all of them, or under the silent policy
+    only those decoded somewhere."""
+    k = channel.num_gps
+    p, h2 = channel.gp_power, channel.gains[:, gw] ** 2
+    on = flags.any(axis=1) if mode.undecoded_gp_policy == UNDECODED_SILENT \
+        else np.ones(k, dtype=bool)
+    return channel.noise_power + p * sum(h2[m] for m in range(k)
+                                         if not flags[m, gw] and on[m])
+
+
+def lp_constraint_slacks(channel, assignment, rate_vector, mode):
+    """Slack log2(1 + P h2(S) / (N0 + I)) - r(S) of every subset
+    constraint of every gateway's decoded set, at the given rates."""
+    f = assignment.flags.astype(bool)
+    p = channel.gp_power
+    slacks = []
+    for i in range(channel.num_gws):
+        decoded = np.nonzero(f[:, i])[0].tolist()
+        noise = _interference(channel, f, i, mode)
+        h2 = channel.gains[:, i] ** 2
+        for size in range(1, len(decoded) + 1):
+            for subset in itertools.combinations(decoded, size):
+                sig = p * sum(h2[j] for j in subset)
+                slacks.append(math.log2(1.0 + sig / noise)
+                              - sum(rate_vector.rates[j] for j in subset))
+    return np.array(slacks)
+
+
+def best_corner_sum(channel, assignment, mode):
+    """Max over all per-gateway decoding permutations of the min-across-GW
+    corner sum.  Exponential; for small decoded sets only."""
+    f = assignment.flags.astype(bool)
+    k, n = f.shape
+    p = channel.gp_power
+    corners = []
+    for i in range(n):
+        decoded = np.nonzero(f[:, i])[0].tolist()
+        noise = _interference(channel, f, i, mode)
+        h2 = channel.gains[:, i] ** 2
+        options = []
+        for perm in itertools.permutations(decoded):
+            options.append({j: math.log2(1.0 + p * h2[j] / (
+                noise + p * sum(h2[m] for m in perm[pos + 1:])))
+                for pos, j in enumerate(perm)})
+        corners.append(options)
+    best = -np.inf
+    for choice in itertools.product(*corners):
+        total = sum(min(bounds[j] for bounds in choice if j in bounds)
+                    for j in range(k) if f[j].any())
+        best = max(best, float(total))
+    return best
+
+
+def brute_force_exhaustive(channel, mode, batch=1 << 14):
+    """(flags, value) of the fixed-order optimum: every flat flag pattern
+    in lexicographic order (row-major, most significant bit first) through
+    evaluate_fixed_order_batch in batches of `batch`, where a batch's first
+    maximizer replaces the best only when strictly larger."""
+    k, n = channel.num_gps, channel.num_gws
+    total = 1 << (k * n)
+    shifts = np.arange(k * n - 1, -1, -1)
+    best, best_flags = -np.inf, None
+    for start in range(0, total, batch):
+        index = np.arange(start, min(start + batch, total))
+        flags = ((index[:, None] >> shifts) & 1).reshape(-1, k, n)
+        _, sums = evaluate_fixed_order_batch(channel, flags, mode)
+        t = int(np.argmax(sums))
+        if sums[t] > best:
+            best, best_flags = float(sums[t]), flags[t].astype(np.int8)
+    return best_flags, best

@@ -22,7 +22,7 @@ from conftest import (
     random_channel,
     random_gateways,
 )
-from oracles import min_total_lp
+from oracles import min_total_lp, lp_constraint_slacks
 from seisrate.delivery import (
     corner_rates,
     max_weighted_sum,
@@ -36,7 +36,6 @@ from seisrate.rates import (
     EvaluationMode,
     evaluate_fixed_order,
     evaluate_lp,
-    lp_constraint_slacks,
     search_space_size,
     sic_corner_rates,
 )

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from seisrate.cli import build_parser, main
 from seisrate.errors import CapacityLimitError, InstanceFormatError
 from seisrate.experiments import ExperimentSpec, GwSizingSpec, run_experiment, run_gw_sizing
 from seisrate.model import fixture_path, load_instance
+from seisrate.rates import EvaluationMode
 from seisrate.search import ALGORITHMS, exhaustive_search
 
 
@@ -98,6 +100,21 @@ class TestExperimentSpec:
         assert "unknown evaluator 'LP'" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
 
+    @pytest.mark.parametrize("key", ["evaluater", "es_cap"])
+    def test_unknown_key_exits_invalid(self, tmp_path, capsys, key):
+        # a misspelt key, and a key that specs no longer take
+        spec = write_spec(tmp_path / "s.json", **{key: "lp"})
+        with pytest.raises(InstanceFormatError, match=repr(key)):
+            ExperimentSpec.from_json(spec)
+        assert main(["experiment", "run", str(spec)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_readme_lists_the_accepted_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        for key in ExperimentSpec.KEYS + GwSizingSpec.KEYS:
+            assert f"`{key}`" in readme, key
+
 
 class TestRunExperiment:
     def test_outputs_and_determinism(self, tmp_path):
@@ -179,6 +196,25 @@ class TestRunExperiment:
             replications=1)))
         assert [row[-1] for row in rows] == [""]
 
+    def test_instance_campaign_searches_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(channel, mode):
+            calls.append(channel)
+            return exhaustive_search(channel, mode)
+
+        monkeypatch.setattr(experiments, "exhaustive_search", counted)
+        inst = fixture_path("channel_3x2.json")
+        spec = write_spec(tmp_path / "s.json", instance=str(inst),
+                          algorithms=["es", "dpso"], replications=3)
+        run_experiment(ExperimentSpec.from_json(spec))
+        assert len(calls) == 1
+        optimum = exhaustive_search(load_instance(inst), EvaluationMode())[1]
+        es_rows = [row for row in read_csv(tmp_path / "traces.csv")[1:]
+                   if row[0] == "es"]
+        assert [int(row[3]) for row in es_rows] == [0] * 6 + [1] * 6 + [2] * 6
+        assert {float(row[5]) for row in es_rows} == {optimum}
+
     def test_trace_lengths_match_budget(self, tmp_path):
         run_experiment(ExperimentSpec.from_json(write_spec(tmp_path / "s.json")))
         rows = read_csv(tmp_path / "traces.csv")[1:]
@@ -212,6 +248,17 @@ class TestGwSizing:
         rows, _ = run_gw_sizing(spec)
         mean_sum = float(rows[0][4])
         assert float(rows[0][5]) == pytest.approx(mean_sum / 3 * 200.0)
+
+    def test_unknown_key_exits_invalid(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"gp_counts": [2], "gw_counts": [1],
+                                    "required_kpbs": 50.0,
+                                    "output_dir": str(tmp_path)}))
+        with pytest.raises(InstanceFormatError, match="'required_kpbs'"):
+            GwSizingSpec.from_json(path)
+        assert main(["experiment", "gw-sizing", str(path)]) == 2
+        assert "'required_kpbs'" in capsys.readouterr().err
+        assert not (tmp_path / "gw_sizing.csv").exists()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import random_channel
+from oracles import best_corner_sum, lp_constraint_slacks
 from seisrate.errors import CapacityLimitError
 from seisrate.model import ChannelMatrix
 from seisrate.rates import (
@@ -19,7 +20,6 @@ from seisrate.rates import (
     evaluate_fixed_order_batch,
     evaluate_lp,
     link_capacity,
-    lp_constraint_slacks,
     search_space_size,
     sic_corner_rates,
 )
@@ -196,13 +196,11 @@ class TestEvaluateLp:
         assert total == 0.0
 
     def test_all_ones_against_independent_bounds(self, paper_channel):
-        from seisrate.rates import best_corner_sum
-
         f = DecodingAssignment.all_ones(3, 2)
         _, total = evaluate_lp(paper_channel, f)
         # sandwiched between the best corner point and each gateway's
         # full-set sum capacity
-        assert total >= best_corner_sum(paper_channel, f) - 1e-9
+        assert total >= best_corner_sum(paper_channel, f, MODE) - 1e-9
         h2 = paper_channel.gains ** 2
         for i in range(2):
             assert total <= math.log2(1 + h2[:, i].sum()) + 1e-9

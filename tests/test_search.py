@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_channel
+from oracles import brute_force_exhaustive
 from seisrate.errors import CapacityLimitError
-from seisrate.rates import EvaluationMode, evaluate
+from seisrate.rates import EvaluationMode, evaluate, evaluate_fixed_order_batch
 from seisrate.search import (
     ALGORITHMS,
     AcoParams,
@@ -46,6 +47,17 @@ class TestExhaustiveSearch:
         channel = random_channel(30, 5, 0)
         with pytest.raises(CapacityLimitError):
             exhaustive_search(channel)
+
+    def test_cap_case_beats_random_samples(self):
+        # 12 x 2 is exactly EXHAUSTIVE_CAP assignments
+        channel = random_channel(12, 2, 3)
+        mode = EvaluationMode.scenario(2)
+        assignment, best = exhaustive_search(channel, mode)
+        rng = np.random.default_rng(4)
+        sample = (rng.random((4096, 12, 2)) < 0.5).astype(np.int8)
+        _, sums = evaluate_fixed_order_batch(channel, sample, mode)
+        assert assignment.flags.shape == (12, 2)
+        assert best >= sums.max()
 
     def test_tie_break_is_lexicographic(self):
         # zero gains: every assignment scores 0; the all-zeros matrix is
@@ -264,3 +276,41 @@ class TestConvergenceSmoke:
         for name in STOCHASTIC:
             trace = run_algorithm(name, channel, budget)
             assert trace.best_sum_rate == pytest.approx(optimum, rel=1e-6), name
+
+
+# every (K, N) with N <= 5, K <= 10 and at most 2^16 assignments.  Above
+# 2^14 the search splits the flat index into outer and inner bits: 8 x 2
+# splits between geophones, while 5 x 3, 4 x 4 and 3 x 5 split one
+# geophone's flags between the two blocks.
+ORACLE_SHAPES = [(k, n) for n in range(1, 6) for k in range(1, 11) if k * n <= 16]
+
+
+class TestExhaustiveAgainstBruteForce:
+    """The pattern-table search against every assignment through the batch
+    evaluator: the same value (==) and the same flags, ties included."""
+
+    @staticmethod
+    def check(channel, scenario):
+        mode = EvaluationMode.scenario(scenario)
+        assignment, best = exhaustive_search(channel, mode)
+        flags, value = brute_force_exhaustive(channel, mode)
+        assert best == value
+        assert np.array_equal(assignment.flags, flags)
+        return flags
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("k,n", ORACLE_SHAPES)
+    def test_random_channels(self, k, n, scenario):
+        self.check(random_channel(k, n, 100 * k + 10 * n + scenario), scenario)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("k,n", [(3, 2), (5, 3), (8, 2)])
+    def test_duplicated_geophones_tie(self, k, n, scenario):
+        gains = random_channel(k, n, 7).gains.copy()
+        gains[1::2] = gains[0::2][: k // 2]
+        self.check(ChannelMatrix(k, n, gains, 1e-3, 1e-3), scenario)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_all_zero_gains_tie_on_the_zero_matrix(self, scenario):
+        channel = ChannelMatrix(5, 3, np.zeros((5, 3)), 1e-3, 1e-3)
+        assert not self.check(channel, scenario).any()

@@ -31,9 +31,11 @@ UNDECODED_INTERFERES = "interferes"
 UNDECODED_SILENT = "silent"
 
 # evaluate_lp builds 2^d_i - 1 subset rows for a gateway decoding d_i
-# geophones, and the dense tableau grows about 4x per decoded geophone.
-# 4095 rows (d = 12 on one gateway, or 11 on each of two) take about 0.4 s
-# and 0.3 GB peak RSS on a 2-core machine; one more geophone, 4x that.
+# geophones, and its dense tableau of about rows^2 doubles grows 4x per
+# decoded geophone, so memory sets the cap.  At 4095 rows (d = 12 on one
+# gateway, or 11 on each of two) a call takes about 0.04 s and 0.16 GB
+# peak RSS on a 2-vCPU machine; at d = 13 about 0.4 s and 0.55 GB, at
+# d = 14 about 2 s and 2.1 GB.
 LP_ROW_CAP = 4095
 
 # evaluator names of the CLI and campaign specs; the order policies
@@ -233,9 +235,15 @@ def evaluate_fixed_order(channel, assignment, mode=EvaluationMode()):
 
 def _lp_constraints(channel, flags, mode):
     """Rows (a, rhs) of the subset sum-rate constraints over the variables
-    (geophones decoded somewhere)."""
+    (geophones decoded somewhere).
+
+    Gateway by gateway, row `mask` of a decoded set (ascending geophone
+    index, bit t for its t-th geophone) covers the geophones of the mask's
+    bits, for masks 1 .. 2^d - 1.  Its received power comes from a
+    doubling table, s[2^t + r] = s[r] + h2[t], which adds the powers in
+    ascending order as a running sum would.
+    """
     f = flags.astype(bool)
-    k, n = f.shape
     h2 = channel.gains ** 2
     p, n0 = channel.gp_power, channel.noise_power
     active = _active_mask(f, mode.undecoded_gp_policy)
@@ -247,26 +255,40 @@ def _lp_constraints(channel, flags, mode):
             f"lp-exact caps them at {LP_ROW_CAP}"
         )
     variables = np.nonzero(f.any(axis=1))[0]
-    var_pos = {int(j): t for t, j in enumerate(variables)}
-    rows, rhs = [], []
-    for i in range(n):
+    a = np.zeros((total_rows, variables.size))
+    rhs = np.empty(total_rows)
+    start = 0
+    for i in range(f.shape[1]):
         decoded = np.nonzero(f[:, i])[0]
         d = decoded.size
         if d == 0:
             continue
+        stop = start + (1 << d) - 1
         undec = ~f[:, i] & active
         base_int = p * float(h2[undec, i].sum())
         h2d = h2[decoded, i]
-        for mask in range(1, 1 << d):
-            sel = [(mask >> t) & 1 for t in range(d)]
-            sig = p * float(sum(h2d[t] for t in range(d) if sel[t]))
-            row = np.zeros(variables.size)
-            for t in range(d):
-                if sel[t]:
-                    row[var_pos[int(decoded[t])]] = 1.0
-            rows.append(row)
-            rhs.append(math.log2(1.0 + sig / (n0 + base_int)))
-    return variables, np.array(rows), np.array(rhs)
+        masks = np.arange(1, 1 << d)[:, None]
+        a[start:stop, variables.searchsorted(decoded)] = (masks >> np.arange(d)) & 1
+        sums = np.zeros(1 << d)
+        for t in range(d):
+            sums[1 << t:2 << t] = sums[:1 << t] + h2d[t]
+        ratio = 1.0 + p * sums[1:] / (n0 + base_int)
+        # math.log2: np.log2 can differ from it in the last bit
+        rhs[start:stop] = [math.log2(v) for v in ratio.tolist()]
+        start = stop
+    return variables, a, rhs
+
+
+def _lp_optimum(channel, flags, mode):
+    """(rates, sum_rate) at the optimum of the subset-constraint LP for a
+    (K, N) 0/1 flag matrix; rates is a plain (K,) array."""
+    variables, a, rhs = _lp_constraints(channel, flags, mode)
+    rates = np.zeros(channel.num_gps)
+    if variables.size == 0:
+        return rates, 0.0
+    x, value = solve_lp(np.ones(variables.size), a, rhs, maximize=True)
+    rates[variables] = np.maximum(x, 0.0)
+    return rates, float(value)
 
 
 def evaluate_lp(channel, assignment, mode=EvaluationMode(ORDER_LP)):
@@ -274,13 +296,8 @@ def evaluate_lp(channel, assignment, mode=EvaluationMode(ORDER_LP)):
     flags = assignment.flags
     if flags.shape != (channel.num_gps, channel.num_gws):
         raise ValueError("assignment dimensions do not match the channel")
-    variables, a, rhs = _lp_constraints(channel, flags, mode)
-    rates = np.zeros(channel.num_gps)
-    if variables.size == 0:
-        return RateVector(rates), 0.0
-    x, value = solve_lp(np.ones(variables.size), a, rhs, maximize=True)
-    rates[variables] = np.maximum(x, 0.0)
-    return RateVector(rates), float(value)
+    rates, value = _lp_optimum(channel, flags, mode)
+    return RateVector(rates), value
 
 
 def evaluate(channel, assignment, mode=EvaluationMode()):

@@ -30,8 +30,9 @@ from .rates import (
     UNDECODED_SILENT,
     DecodingAssignment,
     EvaluationMode,
+    _lp_optimum,
     evaluate_fixed_order_batch,
-    evaluate_lp,
+    evaluate_lp,  # noqa: F401  (perfbench/tracer.py wraps it here)
     gateway_bounds,
     search_space_size,
 )
@@ -162,11 +163,8 @@ class _Objective:
         flags_batch = np.asarray(flags_batch).reshape(-1, *self.shape)
         self.count += flags_batch.shape[0]
         if self.mode.order_policy == ORDER_LP:
-            sums = np.empty(flags_batch.shape[0])
-            for t in range(flags_batch.shape[0]):
-                _, sums[t] = evaluate_lp(
-                    self.channel, DecodingAssignment(flags_batch[t]), self.mode
-                )
+            sums = np.array([_lp_optimum(self.channel, flags, self.mode)[1]
+                             for flags in flags_batch])
         else:
             _, sums = evaluate_fixed_order_batch(self.channel, flags_batch, self.mode)
         t = int(np.argmax(sums))

@@ -4,7 +4,8 @@ Solves   min (or max)  c @ x   subject to   A @ x <= b,  x >= 0.
 
 Rows with negative b get an artificial variable and a phase-1 solve.
 Entering variable: most negative reduced cost, switching to Bland's rule
-after a fixed number of pivots to rule out cycling.
+after a fixed number of pivots to rule out cycling.  Each pivot is one
+rank-1 update restricted to the rows and columns it changes.
 """
 
 from __future__ import annotations
@@ -24,6 +25,29 @@ class LpUnbounded(SeisrateError):
     """The LP objective is unbounded over the feasible set."""
 
 
+def _pivot(tableau, leave, enter):
+    """Scale row `leave` so its `enter` entry is 1, then eliminate column
+    `enter` from the other rows by one rank-1 update,
+    tableau -= outer(factor, pivot_row).
+
+    The update touches only the rows with a nonzero factor and the columns
+    where the pivot row is nonzero: the nonbasic columns, the leaving
+    variable's and the right-hand side, so its temporary is at most
+    m x (nonbasic + 2), never m x m.  Each touched entry gets the same
+    multiply and subtract as in a row-by-row elimination.  A row-by-row
+    elimination would subtract factor * 0 from a skipped entry, which
+    changes no value: at most a -0 entry turns +0, and in evaluate_lp's
+    LPs (b >= 0, c > 0) no entry is ever -0.
+    """
+    pivot_row = tableau[leave]
+    pivot_row /= pivot_row[enter]
+    factor = tableau[:, enter].copy()
+    factor[leave] = 0.0
+    rows = factor.nonzero()[0][:, None]
+    cols = pivot_row.nonzero()[0]
+    tableau[rows, cols] -= factor[rows] * pivot_row[cols]
+
+
 def _run_simplex(tableau, basis, num_cols, tol):
     """Pivot until optimal. tableau rows: m constraints + 1 objective row.
 
@@ -33,10 +57,11 @@ def _run_simplex(tableau, basis, num_cols, tol):
     m = len(basis)
     max_dantzig = 50 * (m + num_cols)
     max_total = 200 * (m + num_cols) + 10_000
+    cost = tableau[-1, :num_cols]
+    rhs = tableau[:m, -1]
     for it in range(max_total):
-        cost = tableau[-1, :num_cols]
         if it < max_dantzig:
-            enter = int(np.argmin(cost))
+            enter = int(cost.argmin())
             if cost[enter] >= -tol:
                 return
         else:  # Bland: first negative reduced cost
@@ -45,22 +70,18 @@ def _run_simplex(tableau, basis, num_cols, tol):
                 return
             enter = int(neg[0])
         col = tableau[:m, enter]
-        pos = col > tol
-        if not np.any(pos):
+        cand = (col > tol).nonzero()[0]
+        if cand.size == 0:
             raise LpUnbounded("unbounded pivot column")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = tableau[:m, -1][pos] / col[pos]
-        leave = int(np.argmin(ratios))
-        if it >= max_dantzig:
+        ratios = rhs[cand] / col[cand]
+        best = ratios.argmin()
+        if it < max_dantzig:
+            leave = int(cand[best])
+        else:
             # Bland tie-break: smallest basis index among minimal ratios
-            best = ratios[leave]
-            ties = np.nonzero(ratios <= best + tol * (1 + abs(best)))[0]
-            leave = int(min(ties, key=lambda r: basis[r]))
-        piv = tableau[leave, enter]
-        tableau[leave] /= piv
-        for r in range(m + 1):
-            if r != leave and tableau[r, enter] != 0.0:
-                tableau[r] -= tableau[r, enter] * tableau[leave]
+            ties = cand[ratios <= ratios[best] + tol * (1 + abs(ratios[best]))]
+            leave = int(ties[basis[ties].argmin()])
+        _pivot(tableau, leave, enter)
         basis[leave] = enter
     raise SeisrateError("simplex failed to converge (pivot limit reached)")
 
@@ -72,68 +93,53 @@ def solve_lp(c, a_ub, b_ub, maximize=False, tol=_TOL):
     """
     c = np.asarray(c, dtype=float)
     a = np.atleast_2d(np.asarray(a_ub, dtype=float))
-    b = np.asarray(b_ub, dtype=float).copy()
+    b = np.asarray(b_ub, dtype=float)
     m, n = a.shape
     if c.shape != (n,) or b.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
-    obj = -c if maximize else c.copy()
 
-    a = a.copy()
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    slack_sign = np.where(flip, -1.0, 1.0)
-
-    art_rows = np.nonzero(flip)[0]
+    art_rows = (b < 0).nonzero()[0]
     n_art = art_rows.size
-    width = n + m + n_art + 1
-    tableau = np.zeros((m + 1, width))
+    tableau = np.zeros((m + 1, n + m + n_art + 1))
     tableau[:m, :n] = a
-    tableau[:m, n:n + m] = np.diag(slack_sign)
-    for k, r in enumerate(art_rows):
-        tableau[r, n + m + k] = 1.0
     tableau[:m, -1] = b
-
-    basis = [0] * m
-    for r in range(m):
-        basis[r] = n + r
-    for k, r in enumerate(art_rows):
-        basis[r] = n + m + k
+    rows = np.arange(m)
+    tableau[rows, n + rows] = 1.0            # slack identity, no m x m temporary
+    basis = n + rows
 
     if n_art:
-        # phase 1: minimize the sum of artificials
-        tableau[-1, n + m:n + m + n_art] = 1.0
+        # negate the rows with b < 0 and give each an artificial variable,
+        # then phase 1 minimizes the sum of artificials
+        arts = n + m + np.arange(n_art)
+        tableau[art_rows, :n] *= -1.0
+        tableau[art_rows, n + art_rows] = -1.0
+        tableau[art_rows, -1] *= -1.0
+        tableau[art_rows, arts] = 1.0
+        basis[art_rows] = arts
+        tableau[-1, arts] = 1.0
         for r in art_rows:
             tableau[-1] -= tableau[r]
         _run_simplex(tableau, basis, n + m + n_art, tol)
         if tableau[-1, -1] < -tol * (1 + np.abs(b).max(initial=1.0)):
             raise LpInfeasible("phase-1 optimum is positive")
         # drive any artificial still in the basis out of it
-        for r in range(m):
-            if basis[r] >= n + m:
-                row = tableau[r, :n + m]
-                cand = np.nonzero(np.abs(row) > tol)[0]
-                if cand.size:
-                    enter = int(cand[0])
-                    piv = tableau[r, enter]
-                    tableau[r] /= piv
-                    for rr in range(m + 1):
-                        if rr != r and tableau[rr, enter] != 0.0:
-                            tableau[rr] -= tableau[rr, enter] * tableau[r]
-                    basis[r] = enter
+        for r in (basis >= n + m).nonzero()[0]:
+            cand = (np.abs(tableau[r, :n + m]) > tol).nonzero()[0]
+            if cand.size:
+                _pivot(tableau, r, cand[0])
+                basis[r] = cand[0]
         tableau[:, n + m:n + m + n_art] = 0.0
 
     # phase 2 objective row
+    obj = -c if maximize else c
     tableau[-1, :] = 0.0
     tableau[-1, :n] = obj
-    for r in range(m):
-        if basis[r] < n and obj[basis[r]] != 0.0:
+    for r in (basis < n).nonzero()[0]:
+        if obj[basis[r]] != 0.0:
             tableau[-1] -= obj[basis[r]] * tableau[r]
     _run_simplex(tableau, basis, n + m, tol)
 
     x = np.zeros(n)
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = tableau[r, -1]
-    value = float(c @ x)
-    return x, value
+    in_basis = basis < n
+    x[basis[in_basis]] = tableau[:m, -1][in_basis]
+    return x, float(c @ x)

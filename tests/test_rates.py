@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import random_channel
-from oracles import best_corner_sum, lp_constraint_slacks
+from oracles import best_corner_sum, lp_constraint_slacks, lp_subset_rows
 from seisrate.errors import CapacityLimitError
 from seisrate.model import ChannelMatrix
 from seisrate.rates import (
+    LP_ROW_CAP,
     ORDER_LP,
     UNDECODED_SILENT,
     DecodingAssignment,
     EvaluationMode,
+    _lp_constraints,
     evaluate_fixed_order,
     evaluate_fixed_order_batch,
     evaluate_lp,
@@ -261,6 +263,60 @@ class TestEvaluateLp:
         # 8191 rows on one gateway, or 2 x 4095 on two: over the 4095-row cap
         with pytest.raises(CapacityLimitError, match="subset rows"):
             evaluate_lp(random_channel(k, n, 0), DecodingAssignment.all_ones(k, n))
+
+
+def assert_rows_equal(channel, flags, mode):
+    got = _lp_constraints(channel, flags, mode)
+    want = lp_subset_rows(channel, flags, mode)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+class TestLpSubsetRows:
+    """The table-built subset rows against the one-mask-at-a-time oracle,
+    to the last bit."""
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_channels(self, seed, scenario):
+        rng = np.random.default_rng(seed)
+        k, n = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        channel = random_channel(k, n, seed + 300)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        for density in (0.3, 0.6, 0.9):
+            flags = (rng.random((k, n)) < density).astype(np.int8)
+            assert_rows_equal(channel, flags, mode)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_gateways_that_decode_nothing(self, scenario):
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        channel = random_channel(6, 3, 11)
+        flags = np.zeros((6, 3), dtype=np.int8)
+        assert_rows_equal(channel, flags, mode)
+        variables, a, rhs = _lp_constraints(channel, flags, mode)
+        assert variables.size == a.size == rhs.size == 0
+        flags[[0, 2, 3], 1] = 1                  # gateways 0 and 2 idle
+        assert_rows_equal(channel, flags, mode)
+        flags[4, 2] = 1
+        assert_rows_equal(channel, flags, mode)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("k, n, sets", [
+        (12, 1, [range(12)]),                   # 4095 rows, the cap
+        (11, 2, [range(11), range(11)]),        # 2 x 2047
+        # overlapping sets, and geophone 12 decoded nowhere
+        (13, 2, [range(11), range(1, 12)]),
+    ])
+    def test_decoded_sets_up_to_the_cap(self, k, n, sets, scenario):
+        channel = random_channel(k, n, 5)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        flags = np.zeros((k, n), dtype=np.int8)
+        for i, decoded in enumerate(sets):
+            flags[list(decoded), i] = 1
+        assert_rows_equal(channel, flags, mode)
+        _, a, _ = _lp_constraints(channel, flags, mode)
+        assert LP_ROW_CAP - 1 <= len(a) <= LP_ROW_CAP
 
 
 class TestSearchSpaceSize:

@@ -6,13 +6,21 @@ import pytest
 from conftest import random_channel
 from oracles import brute_force_exhaustive
 from seisrate.errors import CapacityLimitError
-from seisrate.rates import EvaluationMode, evaluate, evaluate_fixed_order_batch
+from seisrate.rates import (
+    ORDER_LP,
+    DecodingAssignment,
+    EvaluationMode,
+    evaluate,
+    evaluate_fixed_order_batch,
+    evaluate_lp,
+)
 from seisrate.search import (
     ALGORITHMS,
     AcoParams,
     PsoParams,
     SearchBudget,
     _aco_probabilities,
+    _Objective,
     angle_modulation_bits,
     ant_system,
     build_heuristic,
@@ -264,6 +272,32 @@ class TestAlgorithmContracts:
                 paper_channel, budget, AcoParams(heuristic_mode=mode)
             )
             assert trace.best_sum_rate > 0
+
+
+class TestObjectiveUnderLp:
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_batch_is_evaluate_lp_row_by_row(self, scenario):
+        # a mixed batch: all zeros, all ones, one geophone, and random rows
+        k, n = 6, 2
+        channel = random_channel(k, n, 21 + scenario)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        rng = np.random.default_rng(scenario)
+        batch = np.concatenate([
+            np.zeros((1, k, n)), np.ones((1, k, n)),
+            np.eye(k, n)[None], rng.random((12, k, n)) < 0.5,
+        ]).astype(np.int8)
+        objective = _Objective(channel, mode)
+        sums = objective.batch(batch.reshape(len(batch), -1))
+        assert objective.count == len(batch)
+        assert sums[0] == 0.0
+        for flags, value in zip(batch, sums):
+            want = evaluate_lp(channel, DecodingAssignment(flags), mode)[1]
+            assert value.tobytes() == np.float64(want).tobytes()
+        t = int(np.argmax(sums))
+        assert objective.best_sum == sums[t]
+        assert np.array_equal(objective.best_flags, batch[t])
+        objective.single(batch[0].ravel())
+        assert objective.count == len(batch) + 1
 
 
 class TestConvergenceSmoke:

@@ -143,7 +143,12 @@ def _cmd_stage2_weighted(args):
     gw = _stage2_instance(args)
     if args.weights:
         with open(args.weights, "r", encoding="utf-8") as fh:
-            weights = np.array(json.load(fh), dtype=float)
+            doc = json.load(fh)
+        try:
+            weights = np.array(doc, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InstanceFormatError(
+                f"{args.weights}: weights must be a JSON list of numbers") from exc
     else:
         weights = weights_from_queues(gw.queue_rates)
     cap = gw.total_power_cap

@@ -404,6 +404,8 @@ def max_weighted_sum(gateways, weights=None, total_cap=None):
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (gateways.num_gws,):
         raise ValueError("weights length must equal the gateway count")
+    if not (np.isfinite(weights) & (weights >= 0)).all():
+        raise ValueError("weights must be finite and nonnegative")
     if abs(weights.sum() - 1.0) > 1e-6:
         raise ValueError("weights must sum to 1")
     if total_cap is None:

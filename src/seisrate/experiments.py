@@ -46,6 +46,8 @@ def _read_spec(path, kind, keys):
     """JSON spec document; a key outside `keys` is an error, not ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{path}: top level must be an object")
     unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise InstanceFormatError(

@@ -31,11 +31,13 @@ UNDECODED_INTERFERES = "interferes"
 UNDECODED_SILENT = "silent"
 
 # evaluate_lp builds 2^d_i - 1 subset rows for a gateway decoding d_i
-# geophones, and its dense tableau of about rows^2 doubles grows 4x per
-# decoded geophone, so memory sets the cap.  At 4095 rows (d = 12 on one
-# gateway, or 11 on each of two) a call takes about 0.04 s and 0.16 GB
-# peak RSS on a 2-vCPU machine; at d = 13 about 0.4 s and 0.55 GB, at
-# d = 14 about 2 s and 2.1 GB.
+# geophones; the solver's tableau is (n + 1) x (rows + n + 1) doubles for
+# n variables.  At 4095 rows (d = 12 on one gateway, or 11 on each of
+# two) a call takes about 3 ms and 38 MB peak RSS, most of it the
+# interpreter and numpy, with one BLAS thread on a 2-vCPU machine; with
+# the cap lifted, d = 14 takes 16 ms, and d = 16 86 ms and 66 MB.  So the
+# cap does not guard memory: it fixes which assignments exit 4, and
+# raising it changes that.
 LP_ROW_CAP = 4095
 
 # evaluator names of the CLI and campaign specs; the order policies
@@ -281,12 +283,16 @@ def _lp_constraints(channel, flags, mode):
 
 def _lp_optimum(channel, flags, mode):
     """(rates, sum_rate) at the optimum of the subset-constraint LP for a
-    (K, N) 0/1 flag matrix; rates is a plain (K,) array."""
+    (K, N) 0/1 flag matrix; rates is a plain (K,) array.
+
+    The LP has the form solve_lp needs: unit objective, right-hand sides
+    log2(1 + ...) >= 0, and a singleton row for every decoded geophone.
+    """
     variables, a, rhs = _lp_constraints(channel, flags, mode)
     rates = np.zeros(channel.num_gps)
     if variables.size == 0:
         return rates, 0.0
-    x, value = solve_lp(np.ones(variables.size), a, rhs, maximize=True)
+    x, value = solve_lp(np.ones(variables.size), a, rhs)
     rates[variables] = np.maximum(x, 0.0)
     return rates, float(value)
 

@@ -14,7 +14,8 @@ exhaustive search the library once ran: every flat flag pattern through
 the pattern-table search must reproduce that evaluator's sums bit for bit.
 `lp_subset_rows` is the LP evaluator's constraint builder as it once was,
 one subset mask at a time, against which the table-built rows must be
-equal to the last bit.
+equal to the last bit.  `two_gateway_lp` gives the LP's optimum for two
+gateways without building or solving it.
 """
 
 import itertools
@@ -316,3 +317,33 @@ def lp_subset_rows(channel, flags, mode):
             rows.append(row)
             rhs.append(math.log2(1.0 + sig / (n0 + base_int)))
     return variables, np.array(rows).reshape(len(rows), variables.size), np.array(rhs)
+
+
+def two_gateway_lp(channel, flags, mode):
+    """Optimum of the exact sum-rate LP of a two-gateway assignment, by
+    Edmonds' polymatroid intersection theorem rather than an LP.
+
+    Gateway i's rate polymatroid over its decoded set D_i is
+    f_i(S) = log2(1 + P h2_i(S) / noise_i), and the LP maximizes x(V),
+    V = D_1 | D_2, over both.  Edmonds (1970): the maximum is the minimum
+    over S of f_1(S) + f_2(V - S), finite only for S = (V - D_2) | T with T
+    a subset of F = D_1 & D_2.  f_1 + f_2 is concave and increasing in the
+    two received-power sums, so the minimum lies at a vertex of their
+    zonotope facing the origin: a prefix T of F sorted by h2_j2 / h2_j1,
+    descending.  O(d log d); needs nonzero gains at gateway 1.
+    """
+    f = np.asarray(flags).astype(bool)
+    if f.shape[1] != 2:
+        raise ValueError("two gateways only")
+    p, h2 = channel.gp_power, channel.gains ** 2
+    both = np.flatnonzero(f[:, 0] & f[:, 1])
+    order = both[np.argsort(-(h2[both, 1] / h2[both, 0]), kind="stable")]
+    # received power at gateway 1 of (V - D_2) | T and at gateway 2 of
+    # (V - D_1) | (F - T), for the prefixes T of order, shortest first
+    at1 = h2[f[:, 0] & ~f[:, 1], 0].sum() + np.concatenate(
+        ([0.0], np.cumsum(h2[order, 0])))
+    at2 = h2[f[:, 1] & ~f[:, 0], 1].sum() + np.concatenate(
+        (np.cumsum(h2[order[::-1], 1])[::-1], [0.0]))
+    values = (np.log2(1.0 + p * at1 / _interference(channel, f, 0, mode))
+              + np.log2(1.0 + p * at2 / _interference(channel, f, 1, mode)))
+    return float(values.min())

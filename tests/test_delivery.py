@@ -458,6 +458,15 @@ class TestWeightedSum:
         with pytest.raises(ValueError):
             max_weighted_sum(large_buffer_gateways, weights=np.full(8, 0.2))
 
+    @pytest.mark.parametrize("weights", [[0.5, np.nan, 0.5], [np.nan, 0.5, 0.5],
+                                         [1.5, -0.5, 0.0], [np.inf, 0.5, 0.5]])
+    def test_rejects_weights_not_finite_and_nonnegative(self, weights):
+        # NaN fails every comparison and [1.5, -0.5, 0] sums to 1, so the
+        # sum-to-1 check alone lets them through
+        gw = GatewayState(3, [1.0, 1.0, 1.0], [1.0, 1.2, 0.8], 1e-3)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            max_weighted_sum(gw, weights=weights, total_cap=1.0)
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_support_enumeration_oracle(self, n):
         rng = np.random.default_rng(1200 + n)

@@ -110,6 +110,15 @@ class TestExperimentSpec:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "gw-sizing"])
+    @pytest.mark.parametrize("doc", ["[]", "5", "null", '"x"'])
+    def test_top_level_not_an_object_exits_invalid(self, tmp_path, capsys,
+                                                    command, doc):
+        spec = tmp_path / "s.json"
+        spec.write_text(doc)
+        assert main(["experiment", command, str(spec)]) == 2
+        assert "top level must be an object" in capsys.readouterr().err
+
     def test_readme_lists_the_accepted_keys(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         for key in ExperimentSpec.KEYS + GwSizingSpec.KEYS:
@@ -320,6 +329,24 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["total_mW"] == pytest.approx(5000.0, rel=1e-6)
         assert doc["objective"] >= 2.63
+
+    @pytest.mark.parametrize("doc, message", [
+        ("[0.5, null, 0.5]", "finite and nonnegative"),
+        ("[NaN, 0.5, 0.5]", "finite and nonnegative"),
+        ("[1.5, -0.5, 0]", "finite and nonnegative"),
+        ('{"1": 0.5, "2": 0.5}', "JSON list of numbers"),
+        ('["a", 0.5, 0.5]', "JSON list of numbers"),
+    ])
+    def test_stage2_weighted_bad_weights_exit_invalid(self, tmp_path, capsys,
+                                                      doc, message):
+        inst, weights = tmp_path / "gw.json", tmp_path / "w.json"
+        assert main(["gen", "--kind", "gateways", "--gws", "3",
+                     "--out", str(inst)]) == 0
+        weights.write_text(doc)
+        assert main(["stage2", "weighted", "--instance", str(inst),
+                     "--weights", str(weights), "--total-cap-mw", "100"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_stage2_min_max_twelve_gateways(self, tmp_path):
         # the 2^N-row epigraph LP once used here ran for minutes at N = 12

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import random_channel
-from oracles import best_corner_sum, lp_constraint_slacks, lp_subset_rows
+from oracles import best_corner_sum, lp_constraint_slacks, lp_subset_rows, two_gateway_lp
 from seisrate.errors import CapacityLimitError
 from seisrate.model import ChannelMatrix
 from seisrate.rates import (
@@ -263,6 +263,52 @@ class TestEvaluateLp:
         # 8191 rows on one gateway, or 2 x 4095 on two: over the 4095-row cap
         with pytest.raises(CapacityLimitError, match="subset rows"):
             evaluate_lp(random_channel(k, n, 0), DecodingAssignment.all_ones(k, n))
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_matches_two_gateway_oracle_at_the_cap(self, scenario):
+        # 11 x 2 decode-all: 2 x 2047 subset rows
+        channel = random_channel(11, 2, 21)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        f = DecodingAssignment.all_ones(11, 2)
+        _, total = evaluate_lp(channel, f, mode)
+        assert total == pytest.approx(two_gateway_lp(channel, f.flags, mode),
+                                      rel=1e-12)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_two_gateway_oracle(self, seed, scenario):
+        # random decoded sets of at most 11 geophones on each gateway
+        rng = np.random.default_rng(seed + 2100)
+        k = int(rng.integers(2, 16))
+        channel = random_channel(k, 2, seed + 2200)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        for _ in range(10):
+            flags = rng.random((k, 2)) < rng.uniform(0.2, 0.9)
+            for i in range(2):
+                flags[rng.permutation(np.flatnonzero(flags[:, i]))[11:], i] = False
+            _, total = evaluate_lp(channel, DecodingAssignment(flags), mode)
+            assert total == pytest.approx(two_gateway_lp(channel, flags, mode),
+                                          rel=1e-12)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_solver_on_three_gateways(self, seed, scenario):
+        rng = np.random.default_rng(seed + 2300)
+        channel = random_channel(6, 3, seed + 2400)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        flags = rng.random((6, 3)) < 0.6
+        _, total = evaluate_lp(channel, DecodingAssignment(flags), mode)
+        assert total == pytest.approx(reference_lp_sum(channel, flags, mode), abs=1e-8)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_matches_reference_solver_at_the_cap(self, scenario):
+        # 12 x 1 decode-all: 4095 subset rows
+        channel = random_channel(12, 1, 22)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        f = DecodingAssignment.all_ones(12, 1)
+        _, total = evaluate_lp(channel, f, mode)
+        assert total == pytest.approx(
+            reference_lp_sum(channel, f.flags.astype(bool), mode), abs=1e-8)
 
 
 def assert_rows_equal(channel, flags, mode):

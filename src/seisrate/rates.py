@@ -207,6 +207,21 @@ def gateway_bounds(channel, gw_index, decoded, transmitting):
     return bounds
 
 
+def combine_bounds(gateway_rows):
+    """(rates, sums) from the (B, K) gateway_bounds of every gateway.
+
+    A geophone's rate is the minimum of its bounds across gateways, and 0
+    where none decodes it (every bound inf); sums are the per-row totals.
+    The minimum is taken in place in the first gateway's array.
+    """
+    rows = iter(gateway_rows)
+    bounds = next(rows)
+    for gw in rows:
+        np.minimum(bounds, gw, out=bounds)
+    rates = np.where(np.isfinite(bounds), bounds, 0.0)
+    return rates, rates.sum(axis=1)
+
+
 def evaluate_fixed_order_batch(channel, flags_batch, mode):
     """Sum-rates of a batch of assignments under descending-gain SIC.
 
@@ -219,12 +234,8 @@ def evaluate_fixed_order_batch(channel, flags_batch, mode):
         raise ValueError("flags_batch must be (B, K, N) matching the channel")
     f = flags.astype(bool)
     active = _active_mask(f, mode.undecoded_gp_policy)  # (B, K)
-    bounds = gateway_bounds(channel, 0, f[:, :, 0], active)
-    for i in range(1, channel.num_gws):
-        np.minimum(bounds, gateway_bounds(channel, i, f[:, :, i], active),
-                   out=bounds)
-    rates = np.where(np.isfinite(bounds), bounds, 0.0)
-    return rates, rates.sum(axis=1)
+    return combine_bounds(gateway_bounds(channel, i, f[:, :, i], active)
+                          for i in range(channel.num_gws))
 
 
 def evaluate_fixed_order(channel, assignment, mode=EvaluationMode()):
@@ -233,6 +244,18 @@ def evaluate_fixed_order(channel, assignment, mode=EvaluationMode()):
         channel, assignment.flags[None, :, :], mode
     )
     return RateVector(rates[0]), float(sums[0])
+
+
+def check_lp_rows(sizes):
+    """Subset-row count of the LP for decoded sets of the given sizes;
+    CapacityLimitError above LP_ROW_CAP."""
+    total_rows = sum((1 << d) - 1 for d in sizes)
+    if total_rows > LP_ROW_CAP:
+        raise CapacityLimitError(
+            f"decoded sets of sizes {sizes} need {total_rows} subset rows; "
+            f"lp-exact caps them at {LP_ROW_CAP}"
+        )
+    return total_rows
 
 
 def _lp_constraints(channel, flags, mode):
@@ -250,12 +273,7 @@ def _lp_constraints(channel, flags, mode):
     p, n0 = channel.gp_power, channel.noise_power
     active = _active_mask(f, mode.undecoded_gp_policy)
     sizes = f.sum(axis=0).tolist()
-    total_rows = sum((1 << d) - 1 for d in sizes)
-    if total_rows > LP_ROW_CAP:
-        raise CapacityLimitError(
-            f"decoded sets of sizes {sizes} need {total_rows} subset rows; "
-            f"lp-exact caps them at {LP_ROW_CAP}"
-        )
+    total_rows = check_lp_rows(sizes)
     variables = np.nonzero(f.any(axis=1))[0]
     a = np.zeros((total_rows, variables.size))
     rhs = np.empty(total_rows)

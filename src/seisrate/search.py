@@ -12,7 +12,12 @@ Exhaustive search under the fixed-order evaluator does not evaluate
 assignments one by one: a gateway's bounds depend only on which geophones
 it decodes and which of the others transmit, so it computes them once per
 distinct column pattern and builds every assignment's sum-rate from table
-rows, with the same bits as evaluate_fixed_order_batch.
+rows, with the same bits as evaluate_fixed_order_batch.  SA's single
+evaluations use the same fact lazily: each run memoizes the bounds row of
+the last SINGLE_MEMO_ROWS column patterns per gateway, each computed from
+one row as evaluate_fixed_order_batch computes it for a batch of one, so
+a one-bit move computes at most one gateway's bounds and the trace keeps
+its bits.
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ from .rates import (
     UNDECODED_SILENT,
     DecodingAssignment,
     EvaluationMode,
+    _active_mask,
     _lp_optimum,
+    check_lp_rows,
+    combine_bounds,
     evaluate_fixed_order_batch,
     evaluate_lp,  # noqa: F401  (perfbench/tracer.py wraps it here)
     gateway_bounds,
@@ -44,6 +52,13 @@ from .rates import (
 # ES whenever the space fits, so the cap also decides which campaigns
 # report mse_vs_es.
 EXHAUSTIVE_CAP = 2 ** 24
+
+# Column patterns that _Objective.single keeps per gateway, least recently
+# used dropped first.  8 x 2 in scenario 1 has 2^8 patterns per gateway,
+# so all of them stay; in one 40 x 4 scenario-2 SA run of 4000 moves an
+# unbounded memo grew to about 5300 rows and 3.1 MB, against 1024 rows
+# and 0.6 MB with this bound.
+SINGLE_MEMO_ROWS = 256
 
 HEURISTIC_NONE = "none"
 HEURISTIC_GW_AVERAGE = "gw-average"
@@ -146,6 +161,13 @@ class _Objective:
     A batch replaces the best only with a strictly larger value, and the
     first maximizer of the batch wins a tie.  record() appends the best so
     far to the per-iteration history that trace() returns.
+
+    Under the fixed-order evaluator, single() memoizes each gateway's
+    bounds row by the gateway's column digits (as in _pattern_table), so
+    an SA move, which flips one bit, computes at most one new row.  A miss
+    calls gateway_bounds on the one row that evaluate_fixed_order_batch
+    would pass it for B = 1, so the sums are the same bits as batch()'s
+    on one row.
     """
 
     def __init__(self, channel, mode):
@@ -156,25 +178,53 @@ class _Objective:
         self.best_sum = -np.inf
         self.best_flags = None
         self.history = []
+        # per gateway: column digits -> (1, K) bounds, oldest use first
+        self.memo = (None if mode.order_policy == ORDER_LP
+                     else [{} for _ in range(channel.num_gws)])
         self.t0 = time.perf_counter()
+
+    def _tally(self, flags_batch, sums):
+        self.count += flags_batch.shape[0]
+        t = int(np.argmax(sums))
+        if sums[t] > self.best_sum:
+            self.best_sum = float(sums[t])
+            self.best_flags = np.array(flags_batch[t], dtype=np.int8)
 
     def batch(self, flags_batch):
         """Sum-rates of (B, K, N) or flat (B, K*N) flags."""
         flags_batch = np.asarray(flags_batch).reshape(-1, *self.shape)
-        self.count += flags_batch.shape[0]
         if self.mode.order_policy == ORDER_LP:
             sums = np.array([_lp_optimum(self.channel, flags, self.mode)[1]
                              for flags in flags_batch])
         else:
             _, sums = evaluate_fixed_order_batch(self.channel, flags_batch, self.mode)
-        t = int(np.argmax(sums))
-        if sums[t] > self.best_sum:
-            self.best_sum = float(sums[t])
-            self.best_flags = np.array(flags_batch[t], dtype=np.int8)
+        self._tally(flags_batch, sums)
         return sums
 
     def single(self, flags):
-        return float(self.batch(flags[None])[0])
+        """Sum-rate of one (K, N) or flat (K*N,) assignment."""
+        if self.memo is None:
+            return float(self.batch(flags[None])[0])
+        f = np.asarray(flags).reshape(self.shape).astype(bool)
+        transmitting = _active_mask(f, self.mode.undecoded_gp_policy)
+        digits = np.where(f, 1, 2 * transmitting[:, None]).astype(np.int8)
+        keys = digits.T.tobytes()
+        k = self.shape[0]
+        rows = []
+        for i, memo in enumerate(self.memo):
+            key = keys[i * k:(i + 1) * k]
+            row = memo.pop(key, None)
+            if row is None:
+                row = gateway_bounds(self.channel, i, f[None, :, i],
+                                     transmitting[None])
+                if len(memo) == SINGLE_MEMO_ROWS:
+                    del memo[next(iter(memo))]
+            memo[key] = row
+            rows.append(row)
+        rows[0] = rows[0].copy()    # combine_bounds writes the minimum there
+        _, sums = combine_bounds(rows)
+        self._tally(f[None], sums)
+        return float(sums[0])
 
     def record(self):
         self.history.append(self.best_sum)
@@ -229,13 +279,10 @@ def _table_sums(channel, table, outer_flags, silent):
     """Sum-rates of one outer assignment joined with every inner one."""
     transmitting = (outer_flags.any(axis=1) if silent
                     else np.ones(channel.num_gps, bool))
-    bounds = None
-    for i, (decoded, pattern_tx, rows) in enumerate(table):
-        gw = gateway_bounds(channel, i, decoded | outer_flags[:, i],
-                            pattern_tx | transmitting)[rows]
-        bounds = gw if bounds is None else np.minimum(bounds, gw, out=bounds)
-    rates = np.where(np.isfinite(bounds), bounds, 0.0)
-    return rates.sum(axis=1)
+    return combine_bounds(
+        gateway_bounds(channel, i, decoded | outer_flags[:, i],
+                       pattern_tx | transmitting)[rows]
+        for i, (decoded, pattern_tx, rows) in enumerate(table))[1]
 
 
 def exhaustive_search(channel, mode=EvaluationMode()):
@@ -256,7 +303,8 @@ def exhaustive_search(channel, mode=EvaluationMode()):
     minimum across gateways and sum.  No log, sort or cumulative sum runs
     per assignment, and the sums equal evaluate_fixed_order_batch's bit
     for bit.  The lp-exact evaluator solves one LP per assignment, in the
-    same order.
+    same order, after checking that the decode-all assignment, the one
+    with the most subset rows, fits under the LP row cap.
     """
     k, n = channel.num_gps, channel.num_gws
     total = search_space_size(k, n)
@@ -269,6 +317,7 @@ def exhaustive_search(channel, mode=EvaluationMode()):
     inner = _flag_matrices(np.arange(1 << inner_bits), k, n)
     outer = _flag_matrices(np.arange(total >> inner_bits) << inner_bits, k, n)
     if mode.order_policy == ORDER_LP:
+        check_lp_rows([k] * n)
         objective = _Objective(channel, mode)
         for flags in outer:
             objective.batch(flags | inner)

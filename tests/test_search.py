@@ -5,8 +5,10 @@ import pytest
 
 from conftest import random_channel
 from oracles import brute_force_exhaustive
+import seisrate.search
 from seisrate.errors import CapacityLimitError
 from seisrate.rates import (
+    LP_ROW_CAP,
     ORDER_LP,
     DecodingAssignment,
     EvaluationMode,
@@ -16,6 +18,7 @@ from seisrate.rates import (
 )
 from seisrate.search import (
     ALGORITHMS,
+    SINGLE_MEMO_ROWS,
     AcoParams,
     PsoParams,
     SearchBudget,
@@ -66,6 +69,19 @@ class TestExhaustiveSearch:
         _, sums = evaluate_fixed_order_batch(channel, sample, mode)
         assert assignment.flags.shape == (12, 2)
         assert best >= sums.max()
+
+    def test_lp_row_cap_fails_before_any_lp(self, monkeypatch):
+        # 13 x 1 decode-all needs 8191 subset rows; the enumeration would
+        # reach it after 8191 LPs
+        def no_lp(*args):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(seisrate.search, "_lp_optimum", no_lp)
+        channel = random_channel(13, 1, 0)
+        with pytest.raises(CapacityLimitError,
+                           match=f"sizes \\[13\\] need 8191 subset rows; "
+                                 f"lp-exact caps them at {LP_ROW_CAP}"):
+            exhaustive_search(channel, EvaluationMode(order_policy=ORDER_LP))
 
     def test_tie_break_is_lexicographic(self):
         # zero gains: every assignment scores 0; the all-zeros matrix is
@@ -298,6 +314,106 @@ class TestObjectiveUnderLp:
         assert np.array_equal(objective.best_flags, batch[t])
         objective.single(batch[0].ravel())
         assert objective.count == len(batch) + 1
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestSingleMemo:
+    """_Objective.single reads unchanged gateways' bounds from its memo;
+    each value must be the bits of evaluate_fixed_order_batch on that one
+    row, and the count and best must follow batch()."""
+
+    @staticmethod
+    def check(channel, scenario, rows):
+        mode = EvaluationMode.scenario(scenario)
+        objective = _Objective(channel, mode)
+        values = [objective.single(flags) for flags in rows]
+        for flags, value in zip(rows, values):
+            _, want = evaluate_fixed_order_batch(channel, flags[None], mode)
+            assert _same_bits(value, want[0])
+        t = int(np.argmax(values))
+        assert objective.count == len(rows)
+        assert objective.best_sum == values[t]
+        assert np.array_equal(objective.best_flags, rows[t])
+        return objective
+
+    @staticmethod
+    def random_rows(channel, count, seed):
+        shape = (count, channel.num_gps, channel.num_gws)
+        rows = (np.random.default_rng(seed).random(shape) < 0.5).astype(np.int8)
+        # repeat every row so that each second visit is a memo hit
+        return np.concatenate([rows, rows])
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("k,n", [(3, 2), (8, 2), (5, 4)])
+    def test_random_flags(self, k, n, scenario):
+        channel = random_channel(k, n, 40 + k + n + scenario)
+        self.check(channel, scenario, self.random_rows(channel, 150, scenario))
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_all_zero_gains(self, scenario):
+        channel = ChannelMatrix(5, 3, np.zeros((5, 3)), 1e-3, 1e-3)
+        rows = self.random_rows(channel, 60, scenario)
+        rows[0] = 0
+        rows[1] = 1
+        self.check(channel, scenario, rows)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_duplicated_geophones(self, scenario):
+        gains = random_channel(8, 2, 7).gains.copy()
+        gains[1::2] = gains[0::2]
+        channel = ChannelMatrix(8, 2, gains, 1e-3, 1e-3)
+        self.check(channel, scenario, self.random_rows(channel, 150, scenario))
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_long_walk_evicts(self, scenario):
+        # 12 x 3: up to 2^12 or 3^12 column patterns per gateway, so a
+        # walk of single flips and restarts fills and cycles the memo
+        channel = random_channel(12, 3, 11)
+        rng = np.random.default_rng(scenario)
+        state = (rng.random((12, 3)) < 0.5).astype(np.int8)
+        walk = []
+        for step in range(1500):
+            if step % 300 == 0:
+                state = (rng.random((12, 3)) < 0.5).astype(np.int8)
+            state = state.copy()
+            state[rng.integers(12), rng.integers(3)] ^= 1
+            walk.append(state)
+        # the first states again, after their rows were evicted
+        walk = np.array(walk + walk[:100])
+        objective = self.check(channel, scenario, walk)
+        assert [len(memo) for memo in objective.memo] == [SINGLE_MEMO_ROWS] * 3
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_lp_single_goes_through_batch(self, scenario):
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        objective = _Objective(random_channel(4, 2, 3), mode)
+        assert objective.memo is None
+        flags = np.ones(8, np.int8)
+        assert _same_bits(objective.single(flags),
+                          objective.batch(flags[None])[0])
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_traces_match_unmemoized_single(name, scenario, monkeypatch):
+    """Every algorithm gives the same trace with single() routed through
+    batch() on one row, the path without the memo.  The reference is run
+    here, not stored, since BLAS bits differ between CPUs."""
+    channel = random_channel(8, 2, 60 + scenario)
+    mode = EvaluationMode.scenario(scenario)
+    budget = SearchBudget(population=10, iterations=60, seed=scenario)
+    memoized = run_algorithm(name, channel, budget, mode)
+    monkeypatch.setattr(_Objective, "single",
+                        lambda self, flags: float(self.batch(flags[None])[0]))
+    plain = run_algorithm(name, channel, budget, mode)
+    assert memoized.algorithm == plain.algorithm == name
+    assert memoized.best_per_iteration.tobytes() == plain.best_per_iteration.tobytes()
+    assert _same_bits(memoized.best_sum_rate, plain.best_sum_rate)
+    assert memoized.best_assignment == plain.best_assignment
+    assert memoized.evaluations == plain.evaluations
 
 
 class TestConvergenceSmoke:

@@ -42,8 +42,15 @@ def _seed_from(parts):
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
+_REQUIRED = object()
+
+
 def _read_spec(path, kind, keys):
-    """JSON spec document; a key outside `keys` is an error, not ignored."""
+    """Reader for a JSON spec document: a key outside `keys` is an error,
+    not ignored.  The returned field(key, convert, default) gives
+    convert(doc[key]); a missing required key or a value of the wrong JSON
+    type is an InstanceFormatError that names the key.  A null stands for
+    an absent key only where the default is None."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -53,7 +60,47 @@ def _read_spec(path, kind, keys):
         raise InstanceFormatError(
             f"{kind} spec has unknown field(s) {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(keys)}")
-    return doc
+
+    def field(key, convert, default=_REQUIRED):
+        if key not in doc:
+            if default is _REQUIRED:
+                raise InstanceFormatError(f"{kind} spec missing field {key!r}")
+            return default
+        if doc[key] is None and default is None:
+            return None
+        try:
+            return convert(doc[key])
+        except (TypeError, ValueError) as exc:
+            raise InstanceFormatError(f"{kind} spec field {key!r}: {exc}") from None
+
+    return field
+
+
+def _json_type(types, what):
+    """Converter that passes a value of one JSON type; a bool is no number."""
+    def read(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(f"expected {what}, got {json.dumps(value)}")
+        return value
+    return read
+
+
+_integer = _json_type(int, "an integer")
+_number = _json_type((int, float), "a number")
+_string = _json_type(str, "a string")
+_list = _json_type(list, "a list")
+
+
+def _list_of(convert):
+    return lambda value: tuple(map(convert, _list(value)))
+
+
+def _budget(value):
+    """An [M, I] pair of integers."""
+    pair = _list_of(_integer)(value)
+    if len(pair) != 2:
+        raise ValueError(f"expected an [M, I] pair, got {json.dumps(value)}")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -90,25 +137,22 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path):
-        doc = _read_spec(path, "experiment", cls.KEYS)
-        try:
-            return cls(
-                algorithms=tuple(doc["algorithms"]),
-                budgets=tuple((int(m), int(i)) for m, i in doc["budgets"]),
-                replications=int(doc.get("replications", 1)),
-                master_seed=int(doc.get("master_seed", 0)),
-                scenario=int(doc.get("scenario", 1)),
-                evaluator=doc.get("evaluator", ORDER_FIXED),
-                instance_path=doc.get("instance"),
-                num_gps=doc.get("num_gps"),
-                num_gws=doc.get("num_gws"),
-                gp_power=doc.get("gp_power_mw", 1.0) / 1000.0,
-                noise_power=doc.get("noise_power_mw", 1.0) / 1000.0,
-                output_dir=doc.get("output_dir", "."),
-                aco_heuristic=doc.get("aco_heuristic"),
-            )
-        except KeyError as exc:
-            raise InstanceFormatError(f"experiment spec missing field {exc}")
+        field = _read_spec(path, "experiment", cls.KEYS)
+        return cls(
+            algorithms=field("algorithms", _list_of(_string)),
+            budgets=field("budgets", _list_of(_budget)),
+            replications=field("replications", _integer, 1),
+            master_seed=field("master_seed", _integer, 0),
+            scenario=field("scenario", _integer, 1),
+            evaluator=field("evaluator", _string, ORDER_FIXED),
+            instance_path=field("instance", _string, None),
+            num_gps=field("num_gps", _integer, None),
+            num_gws=field("num_gws", _integer, None),
+            gp_power=field("gp_power_mw", _number, 1.0) / 1000.0,
+            noise_power=field("noise_power_mw", _number, 1.0) / 1000.0,
+            output_dir=field("output_dir", _string, "."),
+            aco_heuristic=field("aco_heuristic", _string, None),
+        )
 
     def mode(self):
         return evaluation_mode(self.evaluator, self.scenario)
@@ -211,6 +255,8 @@ class GwSizingSpec:
     output_dir: str = "."
 
     def __post_init__(self):
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
         if not self.gp_counts or not self.gw_counts:
             raise ValueError("gp_counts and gw_counts must be nonempty")
         if min(self.gp_counts) < 1 or min(self.gw_counts) < 1:
@@ -226,24 +272,21 @@ class GwSizingSpec:
 
     @classmethod
     def from_json(cls, path):
-        doc = _read_spec(path, "sizing", cls.KEYS)
-        try:
-            return cls(
-                gp_counts=tuple(doc["gp_counts"]),
-                gw_counts=tuple(doc["gw_counts"]),
-                algorithm=doc.get("algorithm", "as"),
-                budget=tuple(doc.get("budget", (30, 30))),
-                replications=int(doc.get("replications", 10)),
-                master_seed=int(doc.get("master_seed", 0)),
-                scenario=int(doc.get("scenario", 1)),
-                required_kbps=float(doc.get("required_kbps", 144.0)),
-                bandwidth_khz=float(doc.get("bandwidth_khz", 200.0)),
-                gp_power=doc.get("gp_power_mw", 1.0) / 1000.0,
-                noise_power=doc.get("noise_power_mw", 1.0) / 1000.0,
-                output_dir=doc.get("output_dir", "."),
-            )
-        except KeyError as exc:
-            raise InstanceFormatError(f"sizing spec missing field {exc}")
+        field = _read_spec(path, "sizing", cls.KEYS)
+        return cls(
+            gp_counts=field("gp_counts", _list_of(_integer)),
+            gw_counts=field("gw_counts", _list_of(_integer)),
+            algorithm=field("algorithm", _string, "as"),
+            budget=field("budget", _budget, (30, 30)),
+            replications=field("replications", _integer, 10),
+            master_seed=field("master_seed", _integer, 0),
+            scenario=field("scenario", _integer, 1),
+            required_kbps=float(field("required_kbps", _number, 144.0)),
+            bandwidth_khz=float(field("bandwidth_khz", _number, 200.0)),
+            gp_power=field("gp_power_mw", _number, 1.0) / 1000.0,
+            noise_power=field("noise_power_mw", _number, 1.0) / 1000.0,
+            output_dir=field("output_dir", _string, "."),
+        )
 
 
 def run_gw_sizing(spec):

@@ -119,6 +119,30 @@ class TestExperimentSpec:
         assert main(["experiment", command, str(spec)]) == 2
         assert "top level must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("run", "replications", None),
+        ("run", "gp_power_mw", "x"),
+        ("run", "num_gps", "3"),
+        ("run", "algorithms", "as"),
+        ("run", "budgets", [[4, 6, 1]]),
+        ("run", "evaluator", ["lp"]),
+        ("gw-sizing", "gp_counts", 3),
+        ("gw-sizing", "replications", None),
+        ("gw-sizing", "budget", [4, "6"]),
+    ])
+    def test_wrong_json_type_exits_invalid(self, tmp_path, capsys, command,
+                                           key, value):
+        path = tmp_path / "s.json"
+        if command == "run":
+            write_spec(path, **{key: value})
+        else:
+            doc = {"gp_counts": [2], "gw_counts": [1], "budget": [2, 2],
+                   "replications": 1, "output_dir": str(tmp_path), key: value}
+            path.write_text(json.dumps(doc))
+        assert main(["experiment", command, str(path)]) == 2
+        assert f"field {key!r}: expected" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
     def test_readme_lists_the_accepted_keys(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         for key in ExperimentSpec.KEYS + GwSizingSpec.KEYS:
@@ -269,11 +293,20 @@ class TestGwSizing:
         assert "'required_kpbs'" in capsys.readouterr().err
         assert not (tmp_path / "gw_sizing.csv").exists()
 
-    def test_validation(self):
+    def test_validation(self, tmp_path, capsys):
         with pytest.raises(ValueError):
             GwSizingSpec(gp_counts=(), gw_counts=(1,))
         with pytest.raises(ValueError):
             GwSizingSpec(gp_counts=(2,), gw_counts=(1,), required_kbps=0.0)
+        with pytest.raises(ValueError, match="replications"):
+            GwSizingSpec(gp_counts=(3,), gw_counts=(2,), replications=0)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"gp_counts": [3], "gw_counts": [2],
+                                    "replications": 0,
+                                    "output_dir": str(tmp_path)}))
+        assert main(["experiment", "gw-sizing", str(path)]) == 2
+        assert "replications must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "gw_sizing.csv").exists()
 
 
 class TestCli:

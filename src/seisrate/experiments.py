@@ -10,6 +10,7 @@ Campaigns are therefore exactly reproducible.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,14 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InstanceFormatError
-from .model import ChannelMatrix, generate_rayleigh, load_instance
-from .rates import ORDER_FIXED, EvaluationMode, evaluation_mode, search_space_size
+from .model import (ChannelMatrix, _integer, _list_of, _number, _read_field,
+                    _string, generate_rayleigh, load_instance)
+from .rates import ORDER_FIXED, EvaluationMode, evaluation_mode
 from .search import (
     ALGORITHMS,
-    EXHAUSTIVE_CAP,
     AcoParams,
     PsoParams,
     SearchBudget,
+    exhaustive_refusal,
     exhaustive_search,
     run_algorithm,
     scenario_heuristic,
@@ -42,15 +44,32 @@ def _seed_from(parts):
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
-_REQUIRED = object()
+def _positive(value):
+    if not value > 0:
+        raise ValueError("must be positive")
+
+
+def _check_field(key, validate, *args):
+    """validate(*args), its ValueError re-raised naming the spec field."""
+    try:
+        validate(*args)
+    except ValueError as exc:
+        raise ValueError(f"spec field {key!r}: {exc}") from None
+
+
+def _check_run_values(spec, budget_key, budgets):
+    """The budgets, seed and powers both specs need before any output."""
+    for m, i in budgets:
+        _check_field(budget_key, SearchBudget, m, i)
+    _check_field("master_seed", _seed_from, (spec.master_seed,))
+    _check_field("gp_power_mw", _positive, spec.gp_power)
+    _check_field("noise_power_mw", _positive, spec.noise_power)
 
 
 def _read_spec(path, kind, keys):
     """Reader for a JSON spec document: a key outside `keys` is an error,
-    not ignored.  The returned field(key, convert, default) gives
-    convert(doc[key]); a missing required key or a value of the wrong JSON
-    type is an InstanceFormatError that names the key.  A null stands for
-    an absent key only where the default is None."""
+    not ignored.  The returned field(key, convert, default) reads one key
+    as model._read_field does, naming the key in every error."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -61,38 +80,7 @@ def _read_spec(path, kind, keys):
             f"{kind} spec has unknown field(s) {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(keys)}")
 
-    def field(key, convert, default=_REQUIRED):
-        if key not in doc:
-            if default is _REQUIRED:
-                raise InstanceFormatError(f"{kind} spec missing field {key!r}")
-            return default
-        if doc[key] is None and default is None:
-            return None
-        try:
-            return convert(doc[key])
-        except (TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"{kind} spec field {key!r}: {exc}") from None
-
-    return field
-
-
-def _json_type(types, what):
-    """Converter that passes a value of one JSON type; a bool is no number."""
-    def read(value):
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise TypeError(f"expected {what}, got {json.dumps(value)}")
-        return value
-    return read
-
-
-_integer = _json_type(int, "an integer")
-_number = _json_type((int, float), "a number")
-_string = _json_type(str, "a string")
-_list = _json_type(list, "a list")
-
-
-def _list_of(convert):
-    return lambda value: tuple(map(convert, _list(value)))
+    return functools.partial(_read_field, f"{kind} spec", doc)
 
 
 def _budget(value):
@@ -130,6 +118,11 @@ class ExperimentSpec:
         self.mode()   # rejects an unknown evaluator or scenario
         if self.instance_path is None and (self.num_gps is None or self.num_gws is None):
             raise ValueError("either instance_path or num_gps/num_gws is required")
+        _check_field("aco_heuristic", self.aco_params)
+        _check_run_values(self, "budgets", self.budgets)
+        for key in ("num_gps", "num_gws"):
+            if getattr(self, key) is not None:
+                _check_field(key, _positive, getattr(self, key))
 
     KEYS = ("algorithms", "budgets", "replications", "master_seed", "scenario",
             "evaluator", "instance", "num_gps", "num_gws", "gp_power_mw",
@@ -196,8 +189,7 @@ def run_experiment(spec, write_traces=True):
     repeats = spec.replications // len(distinct)
     channels = distinct * repeats
     es_values = None
-    if "es" in spec.algorithms or search_space_size(
-            channels[0].num_gps, channels[0].num_gws) <= EXHAUSTIVE_CAP:
+    if "es" in spec.algorithms or exhaustive_refusal(channels[0], mode) is None:
         es_values = np.array(
             [exhaustive_search(ch, mode)[1] for ch in distinct] * repeats)
 
@@ -265,6 +257,8 @@ class GwSizingSpec:
             raise ValueError("required_kbps and bandwidth_khz must be positive")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        _check_field("scenario", EvaluationMode.scenario, self.scenario)
+        _check_run_values(self, "budget", [self.budget])
 
     KEYS = ("gp_counts", "gw_counts", "algorithm", "budget", "replications",
             "master_seed", "scenario", "required_kbps", "bandwidth_khz",

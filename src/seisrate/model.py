@@ -157,28 +157,68 @@ def generate_gateways(num_gws, seed, q_low=0.5, q_high=1.5, noise_power=1e-3,
                         total_power_cap=total_power_cap)
 
 
-def _require(doc, key, kind):
+_REQUIRED = object()
+
+
+def _json_type(types, what):
+    """Converter that passes a value of one JSON type; a bool is no number."""
+    def read(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(f"expected {what}, got {json.dumps(value)}")
+        return value
+    return read
+
+
+_integer = _json_type(int, "an integer")
+_number = _json_type((int, float), "a number")
+_string = _json_type(str, "a string")
+_list = _json_type(list, "a list")
+
+
+def _list_of(convert):
+    return lambda value: tuple(map(convert, _list(value)))
+
+
+def _floats(value):
+    """A JSON list of numbers, or of such lists, as a float array."""
+    return np.array(_list(value), dtype=float)
+
+
+def _read_field(what, doc, key, convert, default=_REQUIRED):
+    """convert(doc[key]) from a JSON object such as a "channel instance";
+    a missing required key, or a value convert rejects with TypeError or
+    ValueError, is an InstanceFormatError naming the key.  A null stands
+    for an absent key only where the default is None."""
     if key not in doc:
-        raise InstanceFormatError(f"missing field '{key}' in {kind} instance")
-    return doc[key]
+        if default is _REQUIRED:
+            raise InstanceFormatError(f"{what} missing field {key!r}")
+        return default
+    if doc[key] is None and default is None:
+        return None
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"{what} field {key!r}: {exc}") from None
+
+
+def _watts(what, doc, mw_key, w_key, default=_REQUIRED):
+    """A power in watts: the exact watt field, else the mW field / 1000."""
+    mw = _read_field(what, doc, mw_key, _number, default)
+    watts = _read_field(what, doc, w_key, _number, None)
+    return mw / MW_PER_W if watts is None and mw is not None else watts
 
 
 def _channel_from_doc(doc):
-    k = _require(doc, "K", "channel")
-    n = _require(doc, "N", "channel")
-    h = _require(doc, "H", "channel")
-    p_mw = _require(doc, "P_mW", "channel")
-    n0_mw = _require(doc, "N0_mW", "channel")
-    try:
-        gains = np.array(h, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"field 'H' is not a numeric matrix: {exc}")
-    if gains.ndim != 2 or gains.shape != (k, n):
+    what = "channel instance"
+    k = _read_field(what, doc, "K", _integer)
+    n = _read_field(what, doc, "N", _integer)
+    gains = _read_field(what, doc, "H", _floats)
+    p_w = _watts(what, doc, "P_mW", "P_W")
+    n0_w = _watts(what, doc, "N0_mW", "N0_W")
+    if gains.shape != (k, n):
         raise InstanceFormatError(
             f"field 'H' has shape {gains.shape}, expected ({k}, {n})"
         )
-    p_w = doc.get("P_W", p_mw / MW_PER_W)
-    n0_w = doc.get("N0_W", n0_mw / MW_PER_W)
     try:
         return ChannelMatrix(k, n, gains, p_w, n0_w)
     except ValueError as exc:
@@ -186,24 +226,17 @@ def _channel_from_doc(doc):
 
 
 def _gateways_from_doc(doc):
-    n = _require(doc, "N", "gateways")
-    q = _require(doc, "Q", "gateways")
-    g = _require(doc, "G", "gateways")
-    n0_mw = _require(doc, "N0_mW", "gateways")
-    pmax = doc.get("Pmax_mW")
-    ptot = doc.get("Ptotal_max_mW")
-    try:
-        q = np.array(q, dtype=float)
-        g = np.array(g, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"fields 'Q'/'G' are not numeric: {exc}")
+    what = "gateways instance"
+    n = _read_field(what, doc, "N", _integer)
+    q = _read_field(what, doc, "Q", _floats)
+    g = _read_field(what, doc, "G", _floats)
+    n0_w = _watts(what, doc, "N0_mW", "N0_W")
+    pmax_w = _watts(what, doc, "Pmax_mW", "Pmax_W", None)
+    ptot_w = _watts(what, doc, "Ptotal_max_mW", "Ptotal_max_W", None)
     if q.shape != (n,):
         raise InstanceFormatError(f"field 'Q' has length {q.size}, expected {n}")
     if g.shape != (n,):
         raise InstanceFormatError(f"field 'G' has length {g.size}, expected {n}")
-    n0_w = doc.get("N0_W", n0_mw / MW_PER_W)
-    pmax_w = doc.get("Pmax_W", None if pmax is None else pmax / MW_PER_W)
-    ptot_w = doc.get("Ptotal_max_W", None if ptot is None else ptot / MW_PER_W)
     try:
         return GatewayState(
             n, q, g, n0_w,

@@ -7,7 +7,10 @@ Two evaluators are provided for a decoding assignment:
   gateways that decode it.  Polynomial cost, used by the metaheuristics.
 * evaluate_lp: the exact optimum of the sum-rate over the intersection of
   the per-gateway MAC polytopes (one constraint per nonempty subset of
-  each decoded set).  Exponential constraint count, used as the reference.
+  each decoded set).  simplex.solve_lp generates only the violated
+  constraints, each a prefix of a decoded set sorted by rate over
+  received power, so no exponential row set is built; used as the
+  reference.
 
 The undecoded-geophone policy distinguishes the two operating scenarios:
 "interferes" (every geophone always transmits) and "silent" (a geophone
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityLimitError
 from .model import ChannelMatrix
 from .simplex import solve_lp
 
@@ -29,16 +31,6 @@ ORDER_FIXED = "descending-gain-corner"
 ORDER_LP = "lp-exact"
 UNDECODED_INTERFERES = "interferes"
 UNDECODED_SILENT = "silent"
-
-# evaluate_lp builds 2^d_i - 1 subset rows for a gateway decoding d_i
-# geophones; the solver's tableau is (n + 1) x (rows + n + 1) doubles for
-# n variables.  At 4095 rows (d = 12 on one gateway, or 11 on each of
-# two) a call takes about 3 ms and 38 MB peak RSS, most of it the
-# interpreter and numpy, with one BLAS thread on a 2-vCPU machine; with
-# the cap lifted, d = 14 takes 16 ms, and d = 16 86 ms and 66 MB.  So the
-# cap does not guard memory: it fixes which assignments exit 4, and
-# raising it changes that.
-LP_ROW_CAP = 4095
 
 # evaluator names of the CLI and campaign specs; the order policies
 # themselves are accepted as well
@@ -246,77 +238,38 @@ def evaluate_fixed_order(channel, assignment, mode=EvaluationMode()):
     return RateVector(rates[0]), float(sums[0])
 
 
-def check_lp_rows(sizes):
-    """Subset-row count of the LP for decoded sets of the given sizes;
-    CapacityLimitError above LP_ROW_CAP."""
-    total_rows = sum((1 << d) - 1 for d in sizes)
-    if total_rows > LP_ROW_CAP:
-        raise CapacityLimitError(
-            f"decoded sets of sizes {sizes} need {total_rows} subset rows; "
-            f"lp-exact caps them at {LP_ROW_CAP}"
-        )
-    return total_rows
+def _lp_optimum(channel, flags, mode):
+    """(rates, sum_rate) at the optimum of the exact LP for a (K, N) 0/1
+    flag matrix; rates is a plain (K,) array.
 
-
-def _lp_constraints(channel, flags, mode):
-    """Rows (a, rhs) of the subset sum-rate constraints over the variables
-    (geophones decoded somewhere).
-
-    Gateway by gateway, row `mask` of a decoded set (ascending geophone
-    index, bit t for its t-th geophone) covers the geophones of the mask's
-    bits, for masks 1 .. 2^d - 1.  Its received power comes from a
-    doubling table, s[2^t + r] = s[r] + h2[t], which adds the powers in
-    ascending order as a running sum would.
+    The variables are the geophones decoded somewhere, and each gateway
+    that decodes any is one group of solve_lp: its decoded geophones,
+    weighted by P h^2 / (N0 + the received power of the geophones that
+    transmit but are not decoded there).
     """
     f = flags.astype(bool)
+    rates = np.zeros(channel.num_gps)
+    variables = np.flatnonzero(f.any(axis=1))
+    if variables.size == 0:
+        return rates, 0.0
     h2 = channel.gains ** 2
     p, n0 = channel.gp_power, channel.noise_power
     active = _active_mask(f, mode.undecoded_gp_policy)
-    sizes = f.sum(axis=0).tolist()
-    total_rows = check_lp_rows(sizes)
-    variables = np.nonzero(f.any(axis=1))[0]
-    a = np.zeros((total_rows, variables.size))
-    rhs = np.empty(total_rows)
-    start = 0
+    groups = []
     for i in range(f.shape[1]):
-        decoded = np.nonzero(f[:, i])[0]
-        d = decoded.size
-        if d == 0:
-            continue
-        stop = start + (1 << d) - 1
-        undec = ~f[:, i] & active
-        base_int = p * float(h2[undec, i].sum())
-        h2d = h2[decoded, i]
-        masks = np.arange(1, 1 << d)[:, None]
-        a[start:stop, variables.searchsorted(decoded)] = (masks >> np.arange(d)) & 1
-        sums = np.zeros(1 << d)
-        for t in range(d):
-            sums[1 << t:2 << t] = sums[:1 << t] + h2d[t]
-        ratio = 1.0 + p * sums[1:] / (n0 + base_int)
-        # math.log2: np.log2 can differ from it in the last bit
-        rhs[start:stop] = [math.log2(v) for v in ratio.tolist()]
-        start = stop
-    return variables, a, rhs
-
-
-def _lp_optimum(channel, flags, mode):
-    """(rates, sum_rate) at the optimum of the subset-constraint LP for a
-    (K, N) 0/1 flag matrix; rates is a plain (K,) array.
-
-    The LP has the form solve_lp needs: unit objective, right-hand sides
-    log2(1 + ...) >= 0, and a singleton row for every decoded geophone.
-    """
-    variables, a, rhs = _lp_constraints(channel, flags, mode)
-    rates = np.zeros(channel.num_gps)
-    if variables.size == 0:
-        return rates, 0.0
-    x, value = solve_lp(np.ones(variables.size), a, rhs)
+        decoded = np.flatnonzero(f[:, i])
+        if decoded.size:
+            noise = n0 + p * float(h2[~f[:, i] & active, i].sum())
+            groups.append((variables.searchsorted(decoded).tolist(),
+                           (p * h2[decoded, i] / noise).tolist()))
+    x, value = solve_lp(groups)
     rates[variables] = np.maximum(x, 0.0)
-    return rates, float(value)
+    return rates, value
 
 
 def evaluate_lp(channel, assignment, mode=EvaluationMode(ORDER_LP)):
-    """(RateVector, sum_rate) at the exact optimum of the subset-constraint LP."""
+    """(RateVector, sum_rate) at the exact optimum of the subset-constraint
+    LP; CapacityLimitError beyond simplex.MAX_PIVOTS pivots."""
     flags = assignment.flags
     if flags.shape != (channel.num_gps, channel.num_gws):
         raise ValueError("assignment dimensions do not match the channel")

@@ -37,7 +37,6 @@ from .rates import (
     EvaluationMode,
     _active_mask,
     _lp_optimum,
-    check_lp_rows,
     combine_bounds,
     evaluate_fixed_order_batch,
     evaluate_lp,  # noqa: F401  (perfbench/tracer.py wraps it here)
@@ -48,10 +47,12 @@ from .rates import (
 # At 2^24 assignments, exhaustive_search takes about 3 s at 12 x 2
 # (scenario 2) and 27 s at 24 x 1, where every column pattern is distinct,
 # with one BLAS thread on a 2-vCPU machine; peak RSS is 42 and 57 MB, as
-# memory follows the 2^14-assignment chunk, not the space.  Campaigns run
-# ES whenever the space fits, so the cap also decides which campaigns
-# report mse_vs_es.
+# memory follows the 2^14-assignment chunk, not the space.  lp-exact ES
+# solves one LP per assignment: about 16 s for the 2^16 of 8 x 2.
+# Campaigns run ES whenever the space fits, so the caps also decide which
+# campaigns report mse_vs_es.
 EXHAUSTIVE_CAP = 2 ** 24
+LP_EXHAUSTIVE_CAP = 2 ** 16
 
 # Column patterns that _Objective.single keeps per gateway, least recently
 # used dropped first.  8 x 2 in scenario 1 has 2^8 patterns per gateway,
@@ -285,11 +286,21 @@ def _table_sums(channel, table, outer_flags, silent):
         for i, (decoded, pattern_tx, rows) in enumerate(table))[1]
 
 
+def exhaustive_refusal(channel, mode):
+    """Why exhaustive_search refuses this channel under this mode, or None:
+    2^(K*N) assignments over EXHAUSTIVE_CAP, or LP_EXHAUSTIVE_CAP for lp-exact."""
+    total = search_space_size(channel.num_gps, channel.num_gws)
+    cap = LP_EXHAUSTIVE_CAP if mode.order_policy == ORDER_LP else EXHAUSTIVE_CAP
+    if total > cap:
+        return (f"search space {total} exceeds the {mode.order_policy} "
+                f"enumeration cap {cap}; use a metaheuristic")
+
+
 def exhaustive_search(channel, mode=EvaluationMode()):
     """Global maximizer over all 2^(K*N) assignments.
 
-    Ties resolve to the lexicographically smallest flag matrix.  Refuses
-    search spaces above EXHAUSTIVE_CAP.
+    Ties resolve to the lexicographically smallest flag matrix.  Refuses,
+    with CapacityLimitError, the search spaces exhaustive_refusal names.
 
     The flat index of an assignment (its flags, row-major, most
     significant bit first) splits into an outer block, the high bits, and
@@ -303,21 +314,17 @@ def exhaustive_search(channel, mode=EvaluationMode()):
     minimum across gateways and sum.  No log, sort or cumulative sum runs
     per assignment, and the sums equal evaluate_fixed_order_batch's bit
     for bit.  The lp-exact evaluator solves one LP per assignment, in the
-    same order, after checking that the decode-all assignment, the one
-    with the most subset rows, fits under the LP row cap.
+    same order.
     """
+    refusal = exhaustive_refusal(channel, mode)
+    if refusal:
+        raise CapacityLimitError(refusal)
     k, n = channel.num_gps, channel.num_gws
     total = search_space_size(k, n)
-    if total > EXHAUSTIVE_CAP:
-        raise CapacityLimitError(
-            f"search space {total} exceeds the enumeration cap {EXHAUSTIVE_CAP}; "
-            "use a metaheuristic"
-        )
     inner_bits = min(k * n, 14)
     inner = _flag_matrices(np.arange(1 << inner_bits), k, n)
     outer = _flag_matrices(np.arange(total >> inner_bits) << inner_bits, k, n)
     if mode.order_policy == ORDER_LP:
-        check_lp_rows([k] * n)
         objective = _Objective(channel, mode)
         for flags in outer:
             objective.batch(flags | inner)

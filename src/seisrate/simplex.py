@@ -1,34 +1,40 @@
-"""Dense tableau simplex for the exact-LP evaluator's sum-rate LPs.
+"""Dense dual simplex with cut generation for the exact-LP evaluator.
 
-solve_lp maximizes c @ x subject to A @ x <= b, x >= 0, where c > 0,
-b >= 0 and, for every variable j, some row of A is the unit vector e_j.
-rates._lp_optimum's LPs have that form: one row per nonempty subset of
-each gateway's decoded set, the singletons among them.
+solve_lp(groups) maximizes sum(x) over x >= 0 subject to x(S) <=
+log2(1 + w_g(S)) for every group g = (members, weights) and every nonempty
+subset S of its members, where w_g(S) sums the weights of S.  In
+rates._lp_optimum a group is a gateway's SIC rate polymatroid: the
+geophones it decodes, weighted by P h^2 / noise.
 
-It solves the dual,  min b @ y  subject to  A^T y - s = c,  y, s >= 0,
-whose tableau has n + 1 rows for n variables (the geophones decoded
-somewhere: 12 at rates.LP_ROW_CAP on one gateway) however many rows A
-has.  For each variable, the singleton row with the smallest b gives a
-y column equal to e_j, so these columns form an identity basis with
-y = c > 0, already feasible: there is one phase and no artificial
-variable.  At the optimum, the objective-row entries of the surplus
-columns s are the simplex multipliers, which are the primal optimum x.
-
-Entering variable: most negative reduced cost, switching to Bland's rule
-after a fixed number of pivots to rule out cycling.  Each pivot is one
-rank-1 update of the whole tableau.
+The sum(2^d_g - 1) subset rows are never written out.  The solver works on
+the dual, min f @ y s.t. A^T y - s = 1, y, s >= 0, in an (n + 1)-row
+tableau that starts from each variable's tightest singleton column, an
+identity basis feasible at y = 1; the objective-row entries of the surplus
+columns s are the primal x.  Each round pivots to the optimum over the
+known columns, then prices the others (Kelley, 1960): log2(1 + w) is
+concave in the modular w(S), so at each group the least slack
+log2(1 + w(S)) - x(S) lies on a prefix of the members sorted by x_j / w_j,
+descending, as in delivery._tightest_prefix.  Every prefix with slack
+below -_TOL is appended as a column, entries -(surplus block) @ a for its
+indicator a and reduced cost its slack, and the basis stays feasible.
+With no violated prefix left, x is optimal.  Pivots follow Bland's rule:
+almost every pivot of the larger LPs is degenerate, and the most negative
+reduced cost stalls there (3327 pivots against 46 on a 40 x 2 decode-all).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import SeisrateError
+from .errors import CapacityLimitError, SeisrateError
 
 _TOL = 1e-9
-# pivots by the most negative reduced cost, per tableau row and column,
-# before Bland's rule takes over
-DANTZIG_PIVOTS_PER_DIM = 50
+# A call that reaches this cap ends about 1 s in at 217 geophones on 2
+# gateways (one BLAS thread, 2 vCPUs).  6-8 x 2 LPs take about 4 pivots,
+# 40 x 2 decode-all 46, and random assignments of 150 x 2 up to 1300.
+MAX_PIVOTS = 1500
 
 
 def _pivot(tableau, leave, enter):
@@ -38,81 +44,84 @@ def _pivot(tableau, leave, enter):
     tableau[leave] = pivot_row
 
 
-def _singleton_basis(a, b):
-    """For each variable j, the index of the row equal to e_j with the
-    smallest right-hand side."""
-    singleton = np.flatnonzero((np.count_nonzero(a, axis=1) == 1)
-                               & (a.sum(axis=1) == 1.0))
-    var_of = a[singleton].argmax(axis=1)
-    basis = np.empty(a.shape[1], dtype=int)
-    for j in range(a.shape[1]):
-        own = singleton[var_of == j]
-        if own.size == 0:
-            raise ValueError(f"variable {j} has no singleton row")
-        basis[j] = own[b[own].argmin()]
-    return basis
+def _violated_prefixes(groups, x):
+    """(prefixes, slacks): at each group, every prefix of the members in
+    x_j / w_j-descending order whose slack log2(1 + w) - x is below -_TOL."""
+    prefixes, slacks = [], []
+    for members, weights in groups:
+        order = sorted(zip(members, weights), reverse=True,
+                       key=lambda jw: x[jw[0]] / jw[1] if jw[1]
+                       else math.copysign(math.inf, x[jw[0]]))
+        prefix, w_sum, x_sum = [], 0.0, 0.0
+        for j, w in order:
+            prefix.append(j)
+            w_sum += w
+            x_sum += x[j]
+            slack = math.log2(1.0 + w_sum) - x_sum
+            if slack < -_TOL:
+                prefixes.append(list(prefix))
+                slacks.append(slack)
+    return prefixes, slacks
 
 
-def solve_lp(c, a_ub, b_ub):
-    """(x, c @ x) at the maximum of c @ x subject to a_ub @ x <= b_ub, x >= 0.
+def solve_lp(groups):
+    """(x, sum(x)) at the maximum of sum(x) over the groups' polymatroids
+    (see the module docstring); every variable belongs to some group.
 
-    Raises ValueError unless c > 0, b_ub >= 0 and every variable has a
-    singleton row (see the module docstring).
+    Raises CapacityLimitError after MAX_PIVOTS pivots.
     """
-    c = np.asarray(c, dtype=float)
-    a = np.atleast_2d(np.asarray(a_ub, dtype=float))
-    b = np.asarray(b_ub, dtype=float)
-    m, n = a.shape
-    if c.shape != (n,) or b.shape != (m,):
-        raise ValueError("inconsistent LP dimensions")
-    if not (c > 0).all():
-        raise ValueError("objective coefficients must be positive")
-    if not (b >= 0).all():
-        raise ValueError("right-hand sides must be nonnegative")
-    basis = _singleton_basis(a, b)
+    n = 1 + max(max(members) for members, _ in groups)
+    smallest = [math.inf] * n
+    for members, weights in groups:
+        for j, w in zip(members, weights):
+            smallest[j] = min(smallest[j], w)
+    x0 = [math.log2(1.0 + w) for w in smallest]
 
-    # columns: y (m), s (n), right-hand side; the last row holds the
-    # reduced costs of min b @ y and minus its value
-    tableau = np.zeros((n + 1, m + n + 1))
-    tableau[:n, :m] = a.T
-    tableau[:n, m:m + n] = -np.eye(n)
-    tableau[:n, -1] = c
-    b_basic = b[basis]
-    tableau[n, :m] = b - a @ b_basic
-    tableau[n, m:m + n] = b_basic
-    tableau[n, -1] = -(b_basic @ c)
-
-    cost = tableau[n, :-1]
-    rhs = tableau[:n, -1]
-    cols = m + n
-    max_dantzig = DANTZIG_PIVOTS_PER_DIM * (n + cols)
-    for it in range(200 * (n + cols) + 10_000):
-        if it < max_dantzig:
-            enter = int(cost.argmin())
-            if cost[enter] >= -_TOL:
+    # columns: right-hand side, s (n), y (the singletons, then the cuts);
+    # the last row holds the reduced costs of min f @ y and minus its value
+    tableau = np.zeros((n + 1, 2 * n + 1))
+    rows = np.arange(n)
+    tableau[rows, 0] = 1.0
+    tableau[rows, rows + 1] = -1.0
+    tableau[rows, rows + n + 1] = 1.0
+    tableau[n, 0] = -sum(x0)
+    tableau[n, 1:n + 1] = x0
+    basis = np.arange(n + 1, 2 * n + 1)
+    pivots = 0
+    while True:
+        # Bland's rule: the first column with a negative reduced cost
+        negative = (tableau[n, 1:] < -_TOL).nonzero()[0]
+        if negative.size == 0:
+            prefixes, slacks = _violated_prefixes(groups,
+                                                  tableau[n, 1:n + 1].tolist())
+            if not prefixes:
                 break
-        else:  # Bland: first negative reduced cost
-            neg = np.flatnonzero(cost < -_TOL)
-            if neg.size == 0:
-                break
-            enter = int(neg[0])
+            a = np.zeros((n, len(prefixes)))
+            for col, prefix in enumerate(prefixes):
+                a[prefix, col] = 1.0
+            cuts = np.empty((n + 1, len(prefixes)))
+            cuts[:n] = -tableau[:n, 1:n + 1] @ a
+            cuts[n] = slacks
+            tableau = np.hstack((tableau, cuts))
+            continue
+        if pivots == MAX_PIVOTS:
+            raise CapacityLimitError(
+                f"the exact LP over {n} geophones needs more than "
+                f"{MAX_PIVOTS} simplex pivots")
+        enter = int(negative[0]) + 1
         col = tableau[:n, enter]
-        cand = np.flatnonzero(col > _TOL)
+        cand = (col > _TOL).nonzero()[0]
         if cand.size == 0:
-            # an unbounded dual means an infeasible primal, which b >= 0 rules out
+            # an unbounded dual means an infeasible primal, which x = 0 rules out
             raise SeisrateError("simplex found an empty ratio test")
-        ratios = rhs[cand] / col[cand]
-        best = ratios.argmin()
-        if it < max_dantzig:
-            leave = cand[best]
-        else:
-            # Bland tie-break: smallest basis index among minimal ratios
-            ties = cand[ratios <= ratios[best] + _TOL * (1 + abs(ratios[best]))]
-            leave = ties[basis[ties].argmin()]
+        ratios = tableau[cand, 0] / col[cand]
+        least = ratios.min()
+        # Bland's tie-break: smallest basis index among minimal ratios
+        ties = cand[ratios <= least + _TOL * (1 + abs(least))]
+        leave = ties[basis[ties].argmin()]
         _pivot(tableau, leave, enter)
         basis[leave] = enter
-    else:
-        raise SeisrateError("simplex failed to converge (pivot limit reached)")
+        pivots += 1
 
-    x = tableau[n, m:m + n].copy()
-    return x, float(c @ x)
+    x = tableau[n, 1:n + 1].copy()
+    return x, float(x.sum())

@@ -12,10 +12,8 @@ evaluators from first principles, and `brute_force_exhaustive` is the
 exhaustive search the library once ran: every flat flag pattern through
 `evaluate_fixed_order_batch`.  It shares the evaluator on purpose, since
 the pattern-table search must reproduce that evaluator's sums bit for bit.
-`lp_subset_rows` is the LP evaluator's constraint builder as it once was,
-one subset mask at a time, against which the table-built rows must be
-equal to the last bit.  `two_gateway_lp` gives the LP's optimum for two
-gateways without building or solving it.
+`two_gateway_lp` gives the LP's optimum for two gateways without building
+or solving it.
 """
 
 import itertools
@@ -283,40 +281,6 @@ def brute_force_exhaustive(channel, mode, batch=1 << 14):
         if sums[t] > best:
             best, best_flags = float(sums[t]), flags[t].astype(np.int8)
     return best_flags, best
-
-
-def lp_subset_rows(channel, flags, mode):
-    """(variables, a, rhs) of the exact-LP subset constraints, built one
-    mask at a time: for each gateway, masks 1 .. 2^d - 1 over its decoded
-    geophones in ascending index (bit t for the t-th), the received power
-    summed by a running Python sum and the right-hand side by math.log2."""
-    f = np.asarray(flags).astype(bool)
-    k, n = f.shape
-    h2 = channel.gains ** 2
-    p, n0 = channel.gp_power, channel.noise_power
-    active = f.any(axis=1) if mode.undecoded_gp_policy == UNDECODED_SILENT \
-        else np.ones(k, dtype=bool)
-    variables = np.nonzero(f.any(axis=1))[0]
-    var_pos = {int(j): t for t, j in enumerate(variables)}
-    rows, rhs = [], []
-    for i in range(n):
-        decoded = np.nonzero(f[:, i])[0]
-        d = decoded.size
-        if d == 0:
-            continue
-        undec = ~f[:, i] & active
-        base_int = p * float(h2[undec, i].sum())
-        h2d = h2[decoded, i]
-        for mask in range(1, 1 << d):
-            sel = [(mask >> t) & 1 for t in range(d)]
-            sig = p * float(sum(h2d[t] for t in range(d) if sel[t]))
-            row = np.zeros(variables.size)
-            for t in range(d):
-                if sel[t]:
-                    row[var_pos[int(decoded[t])]] = 1.0
-            rows.append(row)
-            rhs.append(math.log2(1.0 + sig / (n0 + base_int)))
-    return variables, np.array(rows).reshape(len(rows), variables.size), np.array(rhs)
 
 
 def two_gateway_lp(channel, flags, mode):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import min_max_lp, weighted_kkt_gap, weighted_objective
-from seisrate import experiments
+from seisrate import experiments, simplex
 from seisrate.cli import build_parser, main
 from seisrate.errors import CapacityLimitError, InstanceFormatError
 from seisrate.experiments import ExperimentSpec, GwSizingSpec, run_experiment, run_gw_sizing
@@ -143,6 +143,28 @@ class TestExperimentSpec:
         assert f"field {key!r}: expected" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("run", "aco_heuristic", "gw-averag"),
+        ("run", "num_gps", 0),
+        ("run", "gp_power_mw", -1.0),
+        ("run", "budgets", [[0, 5]]),
+        ("run", "master_seed", -1),
+        ("gw-sizing", "budget", [0, 3]),
+        ("gw-sizing", "master_seed", -1),
+        ("gw-sizing", "scenario", 3),
+    ])
+    def test_out_of_range_value_exits_before_any_output(self, tmp_path, capsys,
+                                                        command, key, value):
+        path, out = tmp_path / "s.json", tmp_path / "out"
+        if command == "run":
+            write_spec(path, output_dir=str(out), **{key: value})
+        else:
+            path.write_text(json.dumps({"gp_counts": [2], "gw_counts": [1],
+                                        "output_dir": str(out), key: value}))
+        assert main(["experiment", command, str(path)]) == 2
+        assert f"field {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_lists_the_accepted_keys(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         for key in ExperimentSpec.KEYS + GwSizingSpec.KEYS:
@@ -227,6 +249,18 @@ class TestRunExperiment:
         rows = run_experiment(ExperimentSpec.from_json(write_spec(
             tmp_path / "s.json", algorithms=["as"], num_gps=30, num_gws=1,
             replications=1)))
+        assert [row[-1] for row in rows] == [""]
+
+    def test_lp_over_the_space_cap_without_es_leaves_mse_empty(self, tmp_path,
+                                                               monkeypatch):
+        # 9 x 2 fits the fixed-order cap, not the lp-exact one: no ES runs
+        def no_es(*args):
+            raise AssertionError("exhaustive search ran")
+
+        monkeypatch.setattr(experiments, "exhaustive_search", no_es)
+        rows = run_experiment(ExperimentSpec.from_json(write_spec(
+            tmp_path / "s.json", algorithms=["as"], budgets=[[2, 2]],
+            evaluator="lp", num_gps=9, num_gws=2, replications=1)))
         assert [row[-1] for row in rows] == [""]
 
     def test_instance_campaign_searches_once(self, tmp_path, monkeypatch):
@@ -464,15 +498,23 @@ class TestCli:
         algo = next(a for a in optimize._actions if a.dest == "algo")
         assert set(algo.choices) == set(ALGORITHMS)
 
-    def test_exit_capacity_on_oversized_lp(self, tmp_path, capsys):
-        # about 32 of 64 geophones decoded on one gateway: 2^32 subset rows
+    def test_exit_capacity_on_oversized_lp(self, tmp_path, capsys, monkeypatch):
+        # about 32 of 64 geophones decoded on one gateway, 2^32 subset rows
+        # if written out: solved by cuts, and exit 4 with no traceback once
+        # the pivot cap is below what the cuts need
         inst = tmp_path / "wide.json"
+        argv = ["stage1", "optimize", "--instance", str(inst), "--algo", "sa",
+                "--evaluator", "lp", "--particles", "1", "--iters", "1"]
         assert main(["gen", "--kind", "channel", "--gps", "64", "--gws", "1",
                      "--out", str(inst)]) == 0
-        assert main(["stage1", "optimize", "--instance", str(inst),
-                     "--algo", "sa", "--evaluator", "lp",
-                     "--particles", "1", "--iters", "1"]) == 4
-        assert "subset rows" in capsys.readouterr().err
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 3)
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("capacity exceeded: ") and "more than 3 simplex pivots" in err
+        assert "Traceback" not in err
 
     def test_exit_capacity_on_oversized_es(self, tmp_path, capsys):
         inst = tmp_path / "big.json"

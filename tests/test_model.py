@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seisrate.cli import main
 from seisrate.errors import InstanceFormatError
 from seisrate.model import (
     ChannelMatrix,
@@ -101,6 +102,29 @@ class TestSerialization:
         path.write_text(json.dumps({"kind": "gateways", "N": 2, "Q": [1, 2]}))
         with pytest.raises(InstanceFormatError, match="'G'"):
             load_instance(path)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("channel", "P_mW", "1"),
+        ("channel", "N0_mW", None),
+        ("channel", "K", True),
+        ("channel", "H", "[[1.0]]"),
+        ("gateways", "Pmax_mW", "5"),
+        ("gateways", "Ptotal_max_mW", [1]),
+        ("gateways", "N", 1.0),
+    ])
+    def test_wrong_json_type_is_named(self, tmp_path, capsys, kind, key, value):
+        doc = ({"kind": "channel", "K": 1, "N": 1, "H": [[1.0]], "P_mW": 1.0,
+                "N0_mW": 1.0} if kind == "channel" else
+               {"kind": "gateways", "N": 1, "Q": [1.0], "G": [1.0], "N0_mW": 1.0})
+        doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=f"field {key!r}: expected"):
+            load_instance(path)
+        command = ["stage1", "optimize", "--algo", "es"] if kind == "channel" \
+            else ["stage2", "min-total"]
+        assert main(command + ["--instance", str(path)]) == 2
+        assert f"field {key!r}" in capsys.readouterr().err
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import random_channel
-from oracles import best_corner_sum, lp_constraint_slacks, lp_subset_rows, two_gateway_lp
+from oracles import best_corner_sum, lp_constraint_slacks, two_gateway_lp
+from seisrate import simplex
 from seisrate.errors import CapacityLimitError
 from seisrate.model import ChannelMatrix
 from seisrate.rates import (
-    LP_ROW_CAP,
     ORDER_LP,
     UNDECODED_SILENT,
     DecodingAssignment,
     EvaluationMode,
-    _lp_constraints,
     evaluate_fixed_order,
     evaluate_fixed_order_batch,
     evaluate_lp,
@@ -253,16 +252,18 @@ class TestEvaluateLp:
             if slacks.size:
                 assert slacks.min() >= -1e-9
 
-    def test_decoded_set_guard(self):
+    def test_decoded_set_guard(self, monkeypatch):
+        # 22 decoded geophones, 4194303 subset rows if written out: the
+        # cuts reach the one-gateway optimum f(V), and a pivot cap below
+        # what they need raises CapacityLimitError
         channel = random_channel(22, 1, 0)
-        with pytest.raises(CapacityLimitError):
-            evaluate_lp(channel, DecodingAssignment.all_ones(22, 1))
-
-    @pytest.mark.parametrize("k, n", [(13, 1), (12, 2)])
-    def test_row_cap_counts_every_gateway(self, k, n):
-        # 8191 rows on one gateway, or 2 x 4095 on two: over the 4095-row cap
-        with pytest.raises(CapacityLimitError, match="subset rows"):
-            evaluate_lp(random_channel(k, n, 0), DecodingAssignment.all_ones(k, n))
+        f = DecodingAssignment.all_ones(22, 1)
+        _, total = evaluate_lp(channel, f, EvaluationMode(ORDER_LP))
+        h2 = channel.gains[:, 0] ** 2
+        assert total == pytest.approx(math.log2(1 + h2.sum()), rel=1e-12)
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 2)
+        with pytest.raises(CapacityLimitError, match="more than 2 simplex pivots"):
+            evaluate_lp(channel, f, EvaluationMode(ORDER_LP))
 
     @pytest.mark.parametrize("scenario", [1, 2])
     def test_matches_two_gateway_oracle_at_the_cap(self, scenario):
@@ -291,14 +292,29 @@ class TestEvaluateLp:
                                           rel=1e-12)
 
     @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("k", [16, 20, 28, 40])
+    def test_matches_two_gateway_oracle_past_the_old_cap(self, k, scenario):
+        # decoded sets that 2^d subset rows could not hold: decode-all and
+        # five random assignments
+        rng = np.random.default_rng(k + 2500)
+        channel = random_channel(k, 2, k + 2600)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        for flags in [np.ones((k, 2), bool)] + [
+                rng.random((k, 2)) < rng.uniform(0.3, 0.9) for _ in range(5)]:
+            _, total = evaluate_lp(channel, DecodingAssignment(flags), mode)
+            assert total == pytest.approx(two_gateway_lp(channel, flags, mode),
+                                          rel=1e-12)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_reference_solver_on_three_gateways(self, seed, scenario):
         rng = np.random.default_rng(seed + 2300)
         channel = random_channel(6, 3, seed + 2400)
         mode = EvaluationMode.scenario(scenario, ORDER_LP)
-        flags = rng.random((6, 3)) < 0.6
-        _, total = evaluate_lp(channel, DecodingAssignment(flags), mode)
-        assert total == pytest.approx(reference_lp_sum(channel, flags, mode), abs=1e-8)
+        for flags in (rng.random((6, 3)) < 0.6, np.ones((6, 3), bool)):
+            _, total = evaluate_lp(channel, DecodingAssignment(flags), mode)
+            assert total == pytest.approx(reference_lp_sum(channel, flags, mode),
+                                          abs=1e-8)
 
     @pytest.mark.parametrize("scenario", [1, 2])
     def test_matches_reference_solver_at_the_cap(self, scenario):
@@ -311,17 +327,20 @@ class TestEvaluateLp:
             reference_lp_sum(channel, f.flags.astype(bool), mode), abs=1e-8)
 
 
-def assert_rows_equal(channel, flags, mode):
-    got = _lp_constraints(channel, flags, mode)
-    want = lp_subset_rows(channel, flags, mode)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape
-        assert np.array_equal(g, w)
+def assert_optimal_over_every_row(channel, flags, mode):
+    """The LP's rates meet every subset row of every decoded set, rows the
+    solver never writes out, and their sum is scipy's optimum over them."""
+    assignment = DecodingAssignment(flags)
+    rv, total = evaluate_lp(channel, assignment, mode)
+    slacks = lp_constraint_slacks(channel, assignment, rv, mode)
+    assert slacks.size == 0 or slacks.min() >= -1e-9
+    assert rv.rates[~assignment.flags.any(axis=1)].sum() == 0.0
+    assert total == pytest.approx(
+        reference_lp_sum(channel, assignment.flags.astype(bool), mode), abs=1e-8)
 
 
 class TestLpSubsetRows:
-    """The table-built subset rows against the one-mask-at-a-time oracle,
-    to the last bit."""
+    """The cut-generated LP against every subset row, written out."""
 
     @pytest.mark.parametrize("scenario", [1, 2])
     @pytest.mark.parametrize("seed", range(12))
@@ -332,37 +351,35 @@ class TestLpSubsetRows:
         mode = EvaluationMode.scenario(scenario, ORDER_LP)
         for density in (0.3, 0.6, 0.9):
             flags = (rng.random((k, n)) < density).astype(np.int8)
-            assert_rows_equal(channel, flags, mode)
+            assert_optimal_over_every_row(channel, flags, mode)
 
     @pytest.mark.parametrize("scenario", [1, 2])
     def test_gateways_that_decode_nothing(self, scenario):
         mode = EvaluationMode.scenario(scenario, ORDER_LP)
         channel = random_channel(6, 3, 11)
         flags = np.zeros((6, 3), dtype=np.int8)
-        assert_rows_equal(channel, flags, mode)
-        variables, a, rhs = _lp_constraints(channel, flags, mode)
-        assert variables.size == a.size == rhs.size == 0
+        rv, total = evaluate_lp(channel, DecodingAssignment(flags), mode)
+        assert total == 0.0 and not rv.rates.any()
         flags[[0, 2, 3], 1] = 1                  # gateways 0 and 2 idle
-        assert_rows_equal(channel, flags, mode)
+        assert_optimal_over_every_row(channel, flags, mode)
         flags[4, 2] = 1
-        assert_rows_equal(channel, flags, mode)
+        assert_optimal_over_every_row(channel, flags, mode)
 
     @pytest.mark.parametrize("scenario", [1, 2])
     @pytest.mark.parametrize("k, n, sets", [
-        (12, 1, [range(12)]),                   # 4095 rows, the cap
+        (12, 1, [range(12)]),                   # 4095 rows
         (11, 2, [range(11), range(11)]),        # 2 x 2047
         # overlapping sets, and geophone 12 decoded nowhere
         (13, 2, [range(11), range(1, 12)]),
     ])
     def test_decoded_sets_up_to_the_cap(self, k, n, sets, scenario):
+        # the largest sets the former 4095-row cap let through
         channel = random_channel(k, n, 5)
         mode = EvaluationMode.scenario(scenario, ORDER_LP)
         flags = np.zeros((k, n), dtype=np.int8)
         for i, decoded in enumerate(sets):
             flags[list(decoded), i] = 1
-        assert_rows_equal(channel, flags, mode)
-        _, a, _ = _lp_constraints(channel, flags, mode)
-        assert LP_ROW_CAP - 1 <= len(a) <= LP_ROW_CAP
+        assert_optimal_over_every_row(channel, flags, mode)
 
 
 class TestSearchSpaceSize:

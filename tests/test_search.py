@@ -8,7 +8,6 @@ from oracles import brute_force_exhaustive
 import seisrate.search
 from seisrate.errors import CapacityLimitError
 from seisrate.rates import (
-    LP_ROW_CAP,
     ORDER_LP,
     DecodingAssignment,
     EvaluationMode,
@@ -18,6 +17,7 @@ from seisrate.rates import (
 )
 from seisrate.search import (
     ALGORITHMS,
+    LP_EXHAUSTIVE_CAP,
     SINGLE_MEMO_ROWS,
     AcoParams,
     PsoParams,
@@ -28,6 +28,7 @@ from seisrate.search import (
     ant_system,
     build_heuristic,
     dpso,
+    exhaustive_refusal,
     exhaustive_search,
     max_min_ant_system,
     no_optimization_baseline,
@@ -70,18 +71,19 @@ class TestExhaustiveSearch:
         assert assignment.flags.shape == (12, 2)
         assert best >= sums.max()
 
-    def test_lp_row_cap_fails_before_any_lp(self, monkeypatch):
-        # 13 x 1 decode-all needs 8191 subset rows; the enumeration would
-        # reach it after 8191 LPs
+    def test_lp_space_cap_fails_before_any_lp(self, monkeypatch):
+        # 9 x 2 has 2^18 assignments, one LP each; 8 x 2 fits the cap
         def no_lp(*args):
             raise AssertionError("an LP was solved")
 
         monkeypatch.setattr(seisrate.search, "_lp_optimum", no_lp)
-        channel = random_channel(13, 1, 0)
+        mode = EvaluationMode(order_policy=ORDER_LP)
         with pytest.raises(CapacityLimitError,
-                           match=f"sizes \\[13\\] need 8191 subset rows; "
-                                 f"lp-exact caps them at {LP_ROW_CAP}"):
-            exhaustive_search(channel, EvaluationMode(order_policy=ORDER_LP))
+                           match=f"search space {2 ** 18} exceeds the lp-exact "
+                                 f"enumeration cap {LP_EXHAUSTIVE_CAP}"):
+            exhaustive_search(random_channel(9, 2, 0), mode)
+        assert exhaustive_refusal(random_channel(8, 2, 0), mode) is None
+        assert exhaustive_refusal(random_channel(9, 2, 0), EvaluationMode()) is None
 
     def test_tie_break_is_lexicographic(self):
         # zero gains: every assignment scores 0; the all-zeros matrix is

@@ -183,13 +183,18 @@ def gateway_bounds(channel, gw_index, decoded, transmitting):
     gateway decodes geophone j, transmitting[b, j] whether geophone j is
     on, so that it interferes here when it is not decoded.  Returns the
     (B, K) bounds, inf where the geophone is not decoded here.
+
+    Every sum runs sequentially along a row, in decode order, so a row's
+    bounds do not depend on the batch it is evaluated in: a BLAS product
+    or numpy's pairwise sum may add a row in another order depending on
+    the batch's shape.
     """
     order = _decoding_order(channel.gains[:, gw_index])
     h2i = channel.gains[order, gw_index] ** 2
     p, n0 = channel.gp_power, channel.noise_power
     fi = decoded[:, order]                   # decoded flags, decode order
     undec = (~fi) & transmitting[:, order]
-    base_int = p * (undec @ h2i)             # (B,)
+    base_int = p * np.cumsum(undec * h2i, axis=1)[:, -1]    # (B,)
     w = fi * h2i
     suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1] - w
     denom = n0 + p * suffix + base_int[:, None]
@@ -203,15 +208,16 @@ def combine_bounds(gateway_rows):
     """(rates, sums) from the (B, K) gateway_bounds of every gateway.
 
     A geophone's rate is the minimum of its bounds across gateways, and 0
-    where none decodes it (every bound inf); sums are the per-row totals.
-    The minimum is taken in place in the first gateway's array.
+    where none decodes it (every bound inf); sums are the per-row totals,
+    each added left to right so that it does not depend on the batch.  The
+    minimum is taken in place in the first gateway's array.
     """
     rows = iter(gateway_rows)
     bounds = next(rows)
     for gw in rows:
         np.minimum(bounds, gw, out=bounds)
     rates = np.where(np.isfinite(bounds), bounds, 0.0)
-    return rates, rates.sum(axis=1)
+    return rates, np.cumsum(rates, axis=1)[:, -1]
 
 
 def evaluate_fixed_order_batch(channel, flags_batch, mode):

@@ -266,24 +266,30 @@ def _pattern_table(channel, inner, silent):
         digits = np.where(decoded, 1, 2 * transmitting)
         _, first, rows = np.unique(digits @ place, return_index=True,
                                    return_inverse=True)
-        # A BLAS matrix-vector product may sum a row in another order when
-        # the row falls in a block's remainder of fewer than four rows.
-        # The 2^14-row batches of evaluate_fixed_order_batch have no
-        # remainder; padding the patterns to a multiple of 64 rows keeps
-        # them clear of one too, so both give the same bits.
-        first = np.pad(first, (0, -first.size % 64), mode="edge")
         table.append((decoded[first], transmitting[first], rows))
     return table
 
 
 def _table_sums(channel, table, outer_flags, silent):
-    """Sum-rates of one outer assignment joined with every inner one."""
+    """Sum-rates of one outer assignment joined with every inner one.
+
+    The rates are combine_bounds' and so is each row's total: added left
+    to right, here one column at a time, which at 2^14 rows takes about a
+    quarter of the time of combine_bounds' row-wise cumulative sum.
+    """
     transmitting = (outer_flags.any(axis=1) if silent
                     else np.ones(channel.num_gps, bool))
-    return combine_bounds(
-        gateway_bounds(channel, i, decoded | outer_flags[:, i],
-                       pattern_tx | transmitting)[rows]
-        for i, (decoded, pattern_tx, rows) in enumerate(table))[1]
+    rates = None
+    for i, (decoded, pattern_tx, rows) in enumerate(table):
+        bounds = gateway_bounds(channel, i, decoded | outer_flags[:, i],
+                                pattern_tx | transmitting)[rows]
+        rates = bounds if rates is None else np.minimum(rates, bounds, out=rates)
+    rates[np.isinf(rates)] = 0.0
+    columns = iter(rates.T)
+    total = next(columns).copy()
+    for column in columns:
+        total += column
+    return total
 
 
 def exhaustive_refusal(channel, mode):

@@ -158,6 +158,33 @@ class TestEvaluateFixedOrder:
             assert rates[t] == pytest.approx(rv.rates.tolist())
             assert sums[t] == pytest.approx(total)
 
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("k,n", [(8, 2), (12, 3), (40, 4)])
+    @pytest.mark.parametrize("size", [1, 3, 64, 2 ** 14])
+    def test_rows_do_not_depend_on_the_batch(self, size, k, n, scenario):
+        # densities vary from row to row; a batch of at most 64 rows is
+        # checked row by row, one of 2^14 against every row in batches of
+        # random sizes from 1 to 4096 and against 64 of its rows alone
+        mode = EvaluationMode.scenario(scenario)
+        channel = random_channel(k, n, 7 * k + n + scenario)
+        rng = np.random.default_rng(size + k + scenario)
+        batch = rng.random((size, k, n)) < rng.random((size, 1, 1))
+        rates, sums = evaluate_fixed_order_batch(channel, batch, mode)
+        alone = range(size) if size <= 64 else rng.choice(size, 64, replace=False)
+        for t in alone:
+            one_rates, one_sum = evaluate_fixed_order_batch(channel, batch[t:t + 1], mode)
+            assert one_rates.tobytes() == rates[t:t + 1].tobytes()
+            assert one_sum.tobytes() == sums[t:t + 1].tobytes()
+        if size > 64:
+            start = 0
+            while start < size:
+                stop = start + int(rng.integers(1, 4097))
+                part_rates, part_sums = evaluate_fixed_order_batch(
+                    channel, batch[start:stop], mode)
+                assert part_rates.tobytes() == rates[start:stop].tobytes()
+                assert part_sums.tobytes() == sums[start:stop].tobytes()
+                start = stop
+
     def test_undecoded_gp_has_zero_rate(self):
         channel = random_channel(4, 2, 11)
         flags = np.ones((4, 2), dtype=np.int8)

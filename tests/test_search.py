@@ -12,6 +12,7 @@ from seisrate.rates import (
     DecodingAssignment,
     EvaluationMode,
     evaluate,
+    evaluate_fixed_order,
     evaluate_fixed_order_batch,
     evaluate_lp,
 )
@@ -235,7 +236,7 @@ class TestAlgorithmContracts:
         _, optimum = exhaustive_search(channel)
         budget = SearchBudget(population=8, iterations=20, seed=1)
         trace = run_algorithm(name, channel, budget)
-        assert trace.best_sum_rate <= optimum + 1e-9
+        assert trace.best_sum_rate <= optimum
 
     def test_seeds_vary_outcome(self, paper_channel):
         budget_a = SearchBudget(population=5, iterations=5, seed=0)
@@ -448,6 +449,7 @@ class TestExhaustiveAgainstBruteForce:
         flags, value = brute_force_exhaustive(channel, mode)
         assert best == value
         assert np.array_equal(assignment.flags, flags)
+        assert _same_bits(best, evaluate_fixed_order(channel, assignment, mode)[1])
         return flags
 
     @pytest.mark.parametrize("scenario", [1, 2])

@@ -157,9 +157,13 @@ class ExperimentSpec:
 
     def channel_for(self, replication):
         if self.instance_path is not None:
-            instance = load_instance(self.instance_path)
+            try:
+                instance = load_instance(self.instance_path)
+            except (OSError, InstanceFormatError) as exc:
+                raise InstanceFormatError(f"spec field 'instance': {exc}") from None
             if not isinstance(instance, ChannelMatrix):
-                raise InstanceFormatError("stage-1 experiments need a channel instance")
+                raise InstanceFormatError(
+                    "spec field 'instance': stage-1 experiments need a channel instance")
             return instance
         return generate_rayleigh(
             self.num_gps, self.num_gws, self.gp_power, self.noise_power,
@@ -176,9 +180,10 @@ def run_experiment(spec, write_traces=True):
     CapacityLimitError before any search runs.  Its optimum gives the `es`
     rows and the mean-squared error column, which compares each
     algorithm's final value with it and is empty when ES did not run.
+    When ES keeps every assignment's value (ExhaustiveResult.values), the
+    metaheuristics on that channel look their values up.  Replications
+    run one after another, so at most one channel's values are held.
     """
-    outdir = Path(spec.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     mode = spec.mode()
     aco = spec.aco_params()
     pso = PsoParams()
@@ -186,40 +191,53 @@ def run_experiment(spec, write_traces=True):
     # an instance campaign replicates one channel: load and search it once
     distinct = ([spec.channel_for(0)] if spec.instance_path is not None
                 else [spec.channel_for(r) for r in range(spec.replications)])
-    repeats = spec.replications // len(distinct)
-    channels = distinct * repeats
-    es_values = None
-    if "es" in spec.algorithms or exhaustive_refusal(channels[0], mode) is None:
-        es_values = np.array(
-            [exhaustive_search(ch, mode)[1] for ch in distinct] * repeats)
+    outdir = Path(spec.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    run_es = "es" in spec.algorithms or exhaustive_refusal(distinct[0], mode) is None
+    optima = np.empty(spec.replications) if run_es else None
 
-    trace_rows = []
-    summary_rows = []
-    for ai, algo in enumerate(spec.algorithms):
-        for bi, (m, i) in enumerate(spec.budgets):
-            finals = np.empty(spec.replications)
-            for r in range(spec.replications):
+    histories = {}          # (algorithm, budget, replication) indices -> trace
+    es = None
+    for r in range(spec.replications):
+        channel = distinct[r % len(distinct)]
+        if run_es:
+            if r < len(distinct):
+                es = None           # the last channel's values go first
+                es = exhaustive_search(channel, mode)
+            optima[r] = es[1]
+        for ai, algo in enumerate(spec.algorithms):
+            for bi, (m, i) in enumerate(spec.budgets):
                 if algo == "es":
-                    history = np.full(i, es_values[r])
+                    history = np.full(i, optima[r])
                 else:
                     budget = SearchBudget(m, i, seed=_seed_from(
                         (spec.master_seed, r, ai, bi)))
-                    history = run_algorithm(algo, channels[r], budget, mode,
-                                            pso_params=pso,
-                                            aco_params=aco).best_per_iteration
-                finals[r] = history[-1]
-                for it, val in enumerate(history):
-                    trace_rows.append([algo, m, i, r, it, repr(float(val))])
+                    history = run_algorithm(
+                        algo, channel, budget, mode, pso_params=pso,
+                        aco_params=aco, es_values=None if es is None else es.values,
+                    ).best_per_iteration
+                histories[ai, bi, r] = history
+
+    summary_rows = []
+    for ai, algo in enumerate(spec.algorithms):
+        for bi, (m, i) in enumerate(spec.budgets):
+            finals = np.array([histories[ai, bi, r][-1]
+                               for r in range(spec.replications)])
             mse = ""
-            if es_values is not None:
-                mse = repr(float(np.mean((finals - es_values) ** 2)))
+            if optima is not None:
+                mse = repr(float(np.mean((finals - optima) ** 2)))
             summary_rows.append([
                 algo, m, i, spec.replications,
                 repr(float(finals.mean())), repr(float(finals.std())), mse,
             ])
 
     if write_traces:
-        _write_csv(outdir / "traces.csv", TRACE_HEADER, trace_rows)
+        _write_csv(outdir / "traces.csv", TRACE_HEADER, (
+            [algo, m, i, r, it, repr(float(val))]
+            for ai, algo in enumerate(spec.algorithms)
+            for bi, (m, i) in enumerate(spec.budgets)
+            for r in range(spec.replications)
+            for it, val in enumerate(histories[ai, bi, r])))
     _write_csv(outdir / "summary.csv", SUMMARY_HEADER, summary_rows)
     return summary_rows
 

@@ -12,12 +12,13 @@ Exhaustive search under the fixed-order evaluator does not evaluate
 assignments one by one: a gateway's bounds depend only on which geophones
 it decodes and which of the others transmit, so it computes them once per
 distinct column pattern and builds every assignment's sum-rate from table
-rows, with the same bits as evaluate_fixed_order_batch.  SA's single
+rows, with the same bits as evaluate_fixed_order_batch.  Those bits do
+not depend on the batch, so up to ES_VALUES_CAP assignments it keeps
+every value, and a search given them (es_values) reads its values there
+instead of evaluating, with the same trace.  Without them, SA's single
 evaluations use the same fact lazily: each run memoizes the bounds row of
-the last SINGLE_MEMO_ROWS column patterns per gateway, each computed from
-one row as evaluate_fixed_order_batch computes it for a batch of one, so
-a one-bit move computes at most one gateway's bounds and the trace keeps
-its bits.
+the last SINGLE_MEMO_ROWS column patterns per gateway, so a one-bit move
+computes at most one gateway's bounds and the trace keeps its bits.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ from .rates import (
 # campaigns report mse_vs_es.
 EXHAUSTIVE_CAP = 2 ** 24
 LP_EXHAUSTIVE_CAP = 2 ** 16
+
+# exhaustive_search keeps every assignment's sum-rate when the space has
+# at most this many: 512 KB at 2^16, the paper's 8 x 2.  A campaign passes
+# them to the metaheuristics on that channel, which then look their
+# values up instead of evaluating; larger spaces keep only the best.
+ES_VALUES_CAP = 2 ** 16
 
 # Column patterns that _Objective.single keeps per gateway, least recently
 # used dropped first.  8 x 2 in scenario 1 has 2^8 patterns per gateway,
@@ -163,15 +170,20 @@ class _Objective:
     first maximizer of the batch wins a tie.  record() appends the best so
     far to the per-iteration history that trace() returns.
 
-    Under the fixed-order evaluator, single() memoizes each gateway's
-    bounds row by the gateway's column digits (as in _pattern_table), so
-    an SA move, which flips one bit, computes at most one new row.  A miss
-    calls gateway_bounds on the one row that evaluate_fixed_order_batch
-    would pass it for B = 1, so the sums are the same bits as batch()'s
-    on one row.
+    es_values, exhaustive search's sum-rates of every assignment on this
+    channel and mode (ExhaustiveResult.values), replace the evaluator:
+    batch() and single() read each assignment's value at its flat index.
+    Both evaluators give an assignment's value the same bits in any batch,
+    so the searches see exactly the values they would compute.
+
+    Otherwise, under the fixed-order evaluator, single() memoizes each
+    gateway's bounds row by the gateway's column digits (as in
+    _pattern_table), so an SA move, which flips one bit, computes at most
+    one new row; gateway_bounds gives a row the same bits alone as in any
+    batch, so the sums are batch()'s.
     """
 
-    def __init__(self, channel, mode):
+    def __init__(self, channel, mode, es_values=None):
         self.channel = channel
         self.mode = mode
         self.shape = (channel.num_gps, channel.num_gws)
@@ -179,8 +191,13 @@ class _Objective:
         self.best_sum = -np.inf
         self.best_flags = None
         self.history = []
+        d = channel.num_gps * channel.num_gws
+        if es_values is not None and len(es_values) != 1 << d:
+            raise ValueError(f"es_values must hold all 2^{d} assignments")
+        self.es_values = es_values
+        self.place = 1 << np.arange(d - 1, -1, -1, dtype=np.int64)
         # per gateway: column digits -> (1, K) bounds, oldest use first
-        self.memo = (None if mode.order_policy == ORDER_LP
+        self.memo = (None if mode.order_policy == ORDER_LP or es_values is not None
                      else [{} for _ in range(channel.num_gws)])
         self.t0 = time.perf_counter()
 
@@ -194,7 +211,10 @@ class _Objective:
     def batch(self, flags_batch):
         """Sum-rates of (B, K, N) or flat (B, K*N) flags."""
         flags_batch = np.asarray(flags_batch).reshape(-1, *self.shape)
-        if self.mode.order_policy == ORDER_LP:
+        if self.es_values is not None:
+            sums = self.es_values[
+                flags_batch.reshape(len(flags_batch), -1) @ self.place]
+        elif self.mode.order_policy == ORDER_LP:
             sums = np.array([_lp_optimum(self.channel, flags, self.mode)[1]
                              for flags in flags_batch])
         else:
@@ -244,9 +264,11 @@ class _Objective:
 def _flag_matrices(indices, k, n):
     """(len, K, N) boolean flags of flat assignment indices, most
     significant bit first: lexicographic order of the flattened matrix."""
-    shifts = np.arange(k * n - 1, -1, -1, dtype=np.uint64)
-    bits = (np.asarray(indices, dtype=np.uint64)[:, None] >> shifts) & 1
-    return bits.astype(bool).reshape(-1, k, n)
+    indices = np.asarray(indices, dtype=np.int64)
+    bits = np.empty((indices.size, k * n), dtype=bool)
+    for c in range(k * n):
+        bits[:, c] = (indices >> (k * n - 1 - c)) & 1
+    return bits.reshape(-1, k, n)
 
 
 def _pattern_table(channel, inner, silent):
@@ -259,37 +281,50 @@ def _pattern_table(channel, inner, silent):
     assignment.
     """
     transmitting = inner.any(axis=2) if silent else np.zeros(inner.shape[:2], bool)
-    place = 3 ** np.arange(channel.num_gps - 1, -1, -1, dtype=np.int64)
     table = []
     for i in range(channel.num_gws):
         decoded = inner[:, :, i]
-        digits = np.where(decoded, 1, 2 * transmitting)
-        _, first, rows = np.unique(digits @ place, return_index=True,
-                                   return_inverse=True)
+        codes = np.zeros(len(inner), dtype=np.int64)
+        for j in range(channel.num_gps):
+            codes *= 3
+            codes += np.where(decoded[:, j], 1, 2 * transmitting[:, j])
+        _, first, rows = np.unique(codes, return_index=True, return_inverse=True)
         table.append((decoded[first], transmitting[first], rows))
     return table
 
 
-def _table_sums(channel, table, outer_flags, silent):
-    """Sum-rates of one outer assignment joined with every inner one.
+def _table_sums(channel, table, outer, silent):
+    """For each outer assignment, the sum-rates of it joined with every
+    inner one, as one array that the next block overwrites.
 
-    The rates are combine_bounds' and so is each row's total: added left
-    to right, here one column at a time, which at 2^14 rows takes about a
-    quarter of the time of combine_bounds' row-wise cumulative sum.
+    The rates are combine_bounds' and so are the bits of each row's total,
+    added left to right from 0: one geophone at a time, its bounds
+    gathered from every gateway's pattern rows, reduced to their minimum
+    and added where finite (an inf minimum is a rate of 0, and adding 0
+    leaves a sum as it is).  The work arrays hold one geophone's column and
+    are allocated once per search: block-sized arrays allocated per block
+    made 10 x 2 searches up to twice as slow, most likely by page-faulting
+    fresh memory every block.
     """
-    transmitting = (outer_flags.any(axis=1) if silent
-                    else np.ones(channel.num_gps, bool))
-    rates = None
-    for i, (decoded, pattern_tx, rows) in enumerate(table):
-        bounds = gateway_bounds(channel, i, decoded | outer_flags[:, i],
-                                pattern_tx | transmitting)[rows]
-        rates = bounds if rates is None else np.minimum(rates, bounds, out=rates)
-    rates[np.isinf(rates)] = 0.0
-    columns = iter(rates.T)
-    total = next(columns).copy()
-    for column in columns:
-        total += column
-    return total
+    size = len(table[0][2])
+    rate, gathered, sums = np.empty(size), np.empty(size), np.empty(size)
+    finite = np.empty(size, dtype=bool)
+    for outer_flags in outer:
+        transmitting = (outer_flags.any(axis=1) if silent
+                        else np.ones(channel.num_gps, bool))
+        bounds = [gateway_bounds(channel, i, decoded | outer_flags[:, i],
+                                 pattern_tx | transmitting)
+                  for i, (decoded, pattern_tx, _) in enumerate(table)]
+        sums.fill(0.0)
+        for j in range(channel.num_gps):
+            for i, (_, _, rows) in enumerate(table):
+                # mode "clip" writes straight into out; "raise" would buffer
+                np.take(bounds[i][:, j], rows, out=gathered if i else rate, mode="clip")
+                if i:
+                    np.minimum(rate, gathered, out=rate)
+            np.add(sums, rate, out=sums, where=np.isfinite(rate, out=finite))
+        del bounds      # up to (2^14, K) per gateway: gone before the next
+        yield sums
 
 
 def exhaustive_refusal(channel, mode):
@@ -302,8 +337,22 @@ def exhaustive_refusal(channel, mode):
                 f"enumeration cap {cap}; use a metaheuristic")
 
 
+class ExhaustiveResult(tuple):
+    """exhaustive_search's answer, the pair (assignment, sum_rate).
+
+    values holds the sum-rate of every assignment at its flat index (its
+    flags, row-major, most significant bit first) when the space has at
+    most ES_VALUES_CAP assignments, and is None otherwise.
+    """
+
+    def __new__(cls, assignment, sum_rate, values):
+        result = super().__new__(cls, (assignment, sum_rate))
+        result.values = values
+        return result
+
+
 def exhaustive_search(channel, mode=EvaluationMode()):
-    """Global maximizer over all 2^(K*N) assignments.
+    """Global maximizer over all 2^(K*N) assignments, as an ExhaustiveResult.
 
     Ties resolve to the lexicographically smallest flag matrix.  Refuses,
     with CapacityLimitError, the search spaces exhaustive_refusal names.
@@ -332,19 +381,20 @@ def exhaustive_search(channel, mode=EvaluationMode()):
     outer = _flag_matrices(np.arange(total >> inner_bits) << inner_bits, k, n)
     if mode.order_policy == ORDER_LP:
         objective = _Objective(channel, mode)
-        for flags in outer:
-            objective.batch(flags | inner)
-        return DecodingAssignment(objective.best_flags), objective.best_sum
-
-    silent = mode.undecoded_gp_policy == UNDECODED_SILENT
-    table = _pattern_table(channel, inner, silent)
+        block_sums = (objective.batch(flags | inner) for flags in outer)
+    else:
+        silent = mode.undecoded_gp_policy == UNDECODED_SILENT
+        table = _pattern_table(channel, inner, silent)
+        block_sums = _table_sums(channel, table, outer, silent)
+    values = np.empty(total) if total <= ES_VALUES_CAP else None
     best_sum, best_flags = -np.inf, None
-    for flags in outer:
-        sums = _table_sums(channel, table, flags, silent)
+    for block, (flags, sums) in enumerate(zip(outer, block_sums)):
+        if values is not None:
+            values[block << inner_bits:(block + 1) << inner_bits] = sums
         t = int(np.argmax(sums))
         if sums[t] > best_sum:
             best_sum, best_flags = float(sums[t]), flags | inner[t]
-    return DecodingAssignment(best_flags), best_sum
+    return ExhaustiveResult(DecodingAssignment(best_flags), best_sum, values)
 
 
 def no_optimization_baseline(channel, mode=EvaluationMode()):
@@ -359,10 +409,16 @@ def sigmoid(v):
     return 1.0 / (1.0 + np.exp(-np.asarray(v, dtype=float)))
 
 
-def dpso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode()):
-    """Discrete binary PSO: velocity is the log-odds that a bit is one."""
+def dpso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode(),
+         es_values=None):
+    """Discrete binary PSO: velocity is the log-odds that a bit is one.
+
+    es_values, if given, are exhaustive search's values on this channel
+    and mode (ExhaustiveResult.values), read in place of evaluating; the
+    same holds for every search below.
+    """
     rng = budget.rng()
-    objective = _Objective(channel, mode)
+    objective = _Objective(channel, mode, es_values)
     m, d = budget.population, channel.num_gps * channel.num_gws
 
     x = (rng.random((m, d)) < 0.5).astype(np.int8)
@@ -403,10 +459,11 @@ def angle_modulation_bits(params, num_bits):
     return (h >= 0.0).astype(np.int8)
 
 
-def ampso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode()):
+def ampso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode(),
+          es_values=None):
     """Angle-modulated PSO: continuous search over 4-parameter generators."""
     rng = budget.rng()
-    objective = _Objective(channel, mode)
+    objective = _Objective(channel, mode, es_values)
     m, d = budget.population, channel.num_gps * channel.num_gws
 
     s = rng.uniform(-1.0, 1.0, size=(m, 4))
@@ -478,9 +535,9 @@ def _aco_probabilities(tau, eta, params):
 
 
 def _aco_run(channel, budget, params, mode, best_ant_only, clamp, name,
-             observer=None):
+             observer=None, es_values=None):
     rng = budget.rng()
-    objective = _Objective(channel, mode)
+    objective = _Objective(channel, mode, es_values)
     m, d = budget.population, channel.num_gps * channel.num_gws
     eta = build_heuristic(channel, params.heuristic_mode,
                           params.deactivation_percentile,
@@ -511,7 +568,7 @@ def _aco_run(channel, budget, params, mode, best_ant_only, clamp, name,
 
 
 def ant_system(channel, budget, aco_params=AcoParams(), mode=EvaluationMode(),
-               observer=None):
+               observer=None, es_values=None):
     """Ant system: every ant deposits pheromone each iteration.
 
     observer, if given, receives a copy of the pheromone table after each
@@ -519,11 +576,11 @@ def ant_system(channel, budget, aco_params=AcoParams(), mode=EvaluationMode(),
     """
     return _aco_run(channel, budget, aco_params, mode,
                     best_ant_only=False, clamp=False, name="as",
-                    observer=observer)
+                    observer=observer, es_values=es_values)
 
 
 def max_min_ant_system(channel, budget, aco_params=AcoParams(),
-                       mode=EvaluationMode(), observer=None):
+                       mode=EvaluationMode(), observer=None, es_values=None):
     """Max-min ant system: only the iteration-best ant deposits, and the
     pheromones stay clamped inside [tau_min, tau_max].
 
@@ -532,7 +589,7 @@ def max_min_ant_system(channel, budget, aco_params=AcoParams(),
     """
     return _aco_run(channel, budget, aco_params, mode,
                     best_ant_only=True, clamp=True, name="mmas",
-                    observer=observer)
+                    observer=observer, es_values=es_values)
 
 
 def sa_acceptance_probability(delta, temperature):
@@ -546,7 +603,7 @@ SA_FLOOR_RATIO = 1e-3
 SA_RESTART_CYCLES = 2
 
 
-def simulated_annealing(channel, budget, mode=EvaluationMode()):
+def simulated_annealing(channel, budget, mode=EvaluationMode(), es_values=None):
     """Single-state bit-flip annealer with geometric cooling and restarts.
 
     The temperature starts at the budget's maximum and cools geometrically
@@ -558,7 +615,7 @@ def simulated_annealing(channel, budget, mode=EvaluationMode()):
     evaluation per (re)start.
     """
     rng = budget.rng()
-    objective = _Objective(channel, mode)
+    objective = _Objective(channel, mode, es_values)
     d = channel.num_gps * channel.num_gws
     t_max = budget.max_temperature
     t_floor = t_max * SA_FLOOR_RATIO
@@ -598,32 +655,41 @@ def _constant_trace(name, assignment, best, budget, evaluations):
     return SearchTrace(hist, assignment, best, evaluations, 0.0, name)
 
 
-def _es(channel, budget, mode, pso_params, aco_params):
+def _es(channel, budget, mode, pso_params, aco_params, es_values):
     assignment, best = exhaustive_search(channel, mode)
     return _constant_trace("es", assignment, best, budget,
                            search_space_size(channel.num_gps, channel.num_gws))
 
 
-def _baseline(channel, budget, mode, pso_params, aco_params):
+def _baseline(channel, budget, mode, pso_params, aco_params, es_values):
     assignment, best = no_optimization_baseline(channel, mode)
     return _constant_trace("baseline", assignment, best, budget, 1)
 
 
-# every stage-1 method, as runner(channel, budget, mode, pso_params, aco_params)
+# every stage-1 method, as
+# runner(channel, budget, mode, pso_params, aco_params, es_values)
 ALGORITHMS = {
     "es": _es,
     "baseline": _baseline,
-    "dpso": lambda ch, budget, mode, pso, aco: dpso(ch, budget, pso, mode),
-    "ampso": lambda ch, budget, mode, pso, aco: ampso(ch, budget, pso, mode),
-    "as": lambda ch, budget, mode, pso, aco: ant_system(ch, budget, aco, mode),
-    "mmas": lambda ch, budget, mode, pso, aco: max_min_ant_system(ch, budget, aco, mode),
-    "sa": lambda ch, budget, mode, pso, aco: simulated_annealing(ch, budget, mode),
+    "dpso": lambda ch, budget, mode, pso, aco, es: dpso(ch, budget, pso, mode, es),
+    "ampso": lambda ch, budget, mode, pso, aco, es: ampso(ch, budget, pso, mode, es),
+    "as": lambda ch, budget, mode, pso, aco, es: ant_system(
+        ch, budget, aco, mode, es_values=es),
+    "mmas": lambda ch, budget, mode, pso, aco, es: max_min_ant_system(
+        ch, budget, aco, mode, es_values=es),
+    "sa": lambda ch, budget, mode, pso, aco, es: simulated_annealing(
+        ch, budget, mode, es),
 }
 
 
 def run_algorithm(name, channel, budget, mode=EvaluationMode(),
-                  pso_params=PsoParams(), aco_params=AcoParams()):
-    """Uniform front end used by the CLI and the experiment harness."""
+                  pso_params=PsoParams(), aco_params=AcoParams(), es_values=None):
+    """Uniform front end used by the CLI and the experiment harness.
+
+    es_values, exhaustive search's values on this channel and mode
+    (ExhaustiveResult.values), let the metaheuristics look their values
+    up; the traces are the same bits with or without them.
+    """
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}")
-    return ALGORITHMS[name](channel, budget, mode, pso_params, aco_params)
+    return ALGORITHMS[name](channel, budget, mode, pso_params, aco_params, es_values)

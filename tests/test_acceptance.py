@@ -398,15 +398,18 @@ def test_criterion_09_small_network_regime():
     es = []
     for case in range(100):
         channel = random_channel(8, 2, 40_000 + case)
-        _, optimum = exhaustive_search(channel, mode)
-        es.append(optimum)
+        # the searches read ES's values, as a campaign's do: same bits
+        result = exhaustive_search(channel, mode)
+        es.append(result[1])
         for name in big:
             trace = run_algorithm(
-                name, channel, SearchBudget(10, 600, seed=50_000 + case), mode)
+                name, channel, SearchBudget(10, 600, seed=50_000 + case), mode,
+                es_values=result.values)
             big[name].append(trace.best_sum_rate)
         for name in small:
             trace = run_algorithm(
-                name, channel, SearchBudget(1, 60, seed=60_000 + case), mode)
+                name, channel, SearchBudget(1, 60, seed=60_000 + case), mode,
+                es_values=result.values)
             small[name].append(trace.best_sum_rate)
     es = np.array(es)
     for name, values in big.items():

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from seisrate.errors import CapacityLimitError, InstanceFormatError
 from seisrate.experiments import ExperimentSpec, GwSizingSpec, run_experiment, run_gw_sizing
 from seisrate.model import fixture_path, load_instance
 from seisrate.rates import EvaluationMode
-from seisrate.search import ALGORITHMS, exhaustive_search
+from seisrate.search import ALGORITHMS, exhaustive_search, run_algorithm
 
 
 def write_spec(path, **overrides):
@@ -281,6 +282,37 @@ class TestRunExperiment:
                    if row[0] == "es"]
         assert [int(row[3]) for row in es_rows] == [0] * 6 + [1] * 6 + [2] * 6
         assert {float(row[5]) for row in es_rows} == {optimum}
+
+    def test_holds_at_most_one_es_table(self, tmp_path, monkeypatch):
+        # each search's values are gone before the next search starts, and
+        # the metaheuristics get the values of their own channel
+        tables, given = [], []
+
+        def tracked(channel, mode):
+            assert all(ref() is None for ref in tables)
+            result = exhaustive_search(channel, mode)
+            tables.append(weakref.ref(result.values))
+            return result
+
+        def recorded(*args, es_values=None, **kwargs):
+            given.append(es_values is not None and es_values is tables[-1]())
+            return run_algorithm(*args, es_values=es_values, **kwargs)
+
+        monkeypatch.setattr(experiments, "exhaustive_search", tracked)
+        monkeypatch.setattr(experiments, "run_algorithm", recorded)
+        run_experiment(ExperimentSpec.from_json(write_spec(
+            tmp_path / "s.json", algorithms=["es", "dpso", "sa"],
+            budgets=[[4, 6], [2, 3]], replications=3)))
+        assert len(tables) == 3
+        assert given == [True] * 12
+
+    def test_missing_instance_is_named_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path / "s.json", instance=str(tmp_path / "none.json"),
+                          output_dir=str(out))
+        assert main(["experiment", "run", str(spec)]) == 2
+        assert "'instance'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trace_lengths_match_budget(self, tmp_path):
         run_experiment(ExperimentSpec.from_json(write_spec(tmp_path / "s.json")))

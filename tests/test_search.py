@@ -15,9 +15,11 @@ from seisrate.rates import (
     evaluate_fixed_order,
     evaluate_fixed_order_batch,
     evaluate_lp,
+    evaluation_mode,
 )
 from seisrate.search import (
     ALGORITHMS,
+    ES_VALUES_CAP,
     LP_EXHAUSTIVE_CAP,
     SINGLE_MEMO_ROWS,
     AcoParams,
@@ -85,6 +87,13 @@ class TestExhaustiveSearch:
             exhaustive_search(random_channel(9, 2, 0), mode)
         assert exhaustive_refusal(random_channel(8, 2, 0), mode) is None
         assert exhaustive_refusal(random_channel(9, 2, 0), EvaluationMode()) is None
+
+    def test_values_are_kept_up_to_their_cap(self):
+        # 2^16 assignments keep their values, 2^18 only the best
+        assert ES_VALUES_CAP == 2 ** 16
+        kept = exhaustive_search(random_channel(8, 2, 0)).values
+        assert kept.shape == (ES_VALUES_CAP,)
+        assert exhaustive_search(random_channel(9, 2, 0)).values is None
 
     def test_tie_break_is_lexicographic(self):
         # zero gains: every assignment scores 0; the all-zeros matrix is
@@ -419,6 +428,30 @@ def test_traces_match_unmemoized_single(name, scenario, monkeypatch):
     assert memoized.evaluations == plain.evaluations
 
 
+@pytest.mark.parametrize("evaluator,scenario,k", [
+    ("fixed-order", 1, 8), ("fixed-order", 2, 8), ("lp", 1, 4), ("lp", 2, 4)])
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_traces_match_with_es_values(name, evaluator, scenario, k):
+    """Every algorithm gives the same trace when it reads exhaustive
+    search's values instead of evaluating."""
+    channel = random_channel(k, 2, 70 + scenario)
+    mode = evaluation_mode(evaluator, scenario)
+    budget = SearchBudget(population=10, iterations=60, seed=scenario)
+    es_values = exhaustive_search(channel, mode).values
+    looked_up = run_algorithm(name, channel, budget, mode, es_values=es_values)
+    evaluated = run_algorithm(name, channel, budget, mode)
+    assert looked_up.best_per_iteration.tobytes() == evaluated.best_per_iteration.tobytes()
+    assert _same_bits(looked_up.best_sum_rate, evaluated.best_sum_rate)
+    assert looked_up.best_assignment == evaluated.best_assignment
+    assert looked_up.evaluations == evaluated.evaluations
+
+
+def test_es_values_must_cover_the_space():
+    channel = random_channel(3, 2, 1)
+    with pytest.raises(ValueError, match="2\\^6 assignments"):
+        _Objective(channel, EvaluationMode(), np.zeros(32))
+
+
 class TestConvergenceSmoke:
     def test_small_instance_algorithms_find_optimum(self):
         # generous budget on a tiny space: every method should land on the
@@ -445,11 +478,18 @@ class TestExhaustiveAgainstBruteForce:
     @staticmethod
     def check(channel, scenario):
         mode = EvaluationMode.scenario(scenario)
-        assignment, best = exhaustive_search(channel, mode)
+        result = exhaustive_search(channel, mode)
+        assignment, best = result
         flags, value = brute_force_exhaustive(channel, mode)
         assert best == value
         assert np.array_equal(assignment.flags, flags)
         assert _same_bits(best, evaluate_fixed_order(channel, assignment, mode)[1])
+        # every assignment's value, in flat-index order
+        k, n = channel.num_gps, channel.num_gws
+        index = np.arange(1 << (k * n))
+        every = (index[:, None] >> np.arange(k * n - 1, -1, -1)) & 1
+        _, sums = evaluate_fixed_order_batch(channel, every.reshape(-1, k, n), mode)
+        assert result.values.tobytes() == sums.tobytes()
         return flags
 
     @pytest.mark.parametrize("scenario", [1, 2])

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InstanceFormatError
+from .errors import CapacityLimitError, InstanceFormatError
 from .model import (ChannelMatrix, _integer, _list_of, _number, _read_field,
                     _string, generate_rayleigh, load_instance)
 from .rates import ORDER_FIXED, EvaluationMode, evaluation_mode
@@ -175,9 +175,9 @@ def run_experiment(spec, write_traces=True):
     """Execute the campaign; returns summary rows and writes CSV files.
 
     Exhaustive search runs once per distinct channel (once per replication,
-    or once for an instance file), when `es` is requested or the search
-    space fits its cap; a requested `es` over the cap raises
-    CapacityLimitError before any search runs.  Its optimum gives the `es`
+    or once for an instance file), when the search space fits its cap; a
+    requested `es` over the cap raises CapacityLimitError before any
+    search runs or output_dir is created.  Its optimum gives the `es`
     rows and the mean-squared error column, which compares each
     algorithm's final value with it and is empty when ES did not run.
     When ES keeps every assignment's value (ExhaustiveResult.values), the
@@ -191,9 +191,12 @@ def run_experiment(spec, write_traces=True):
     # an instance campaign replicates one channel: load and search it once
     distinct = ([spec.channel_for(0)] if spec.instance_path is not None
                 else [spec.channel_for(r) for r in range(spec.replications)])
+    refusal = exhaustive_refusal(distinct[0], mode)
+    if refusal and "es" in spec.algorithms:
+        raise CapacityLimitError(refusal)
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    run_es = "es" in spec.algorithms or exhaustive_refusal(distinct[0], mode) is None
+    run_es = refusal is None
     optima = np.empty(spec.replications) if run_es else None
 
     histories = {}          # (algorithm, budget, replication) indices -> trace

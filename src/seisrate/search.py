@@ -15,10 +15,16 @@ distinct column pattern and builds every assignment's sum-rate from table
 rows, with the same bits as evaluate_fixed_order_batch.  Those bits do
 not depend on the batch, so up to ES_VALUES_CAP assignments it keeps
 every value, and a search given them (es_values) reads its values there
-instead of evaluating, with the same trace.  Without them, SA's single
-evaluations use the same fact lazily: each run memoizes the bounds row of
-the last SINGLE_MEMO_ROWS column patterns per gateway, so a one-bit move
-computes at most one gateway's bounds and the trace keeps its bits.
+instead of evaluating, with the same trace.  Above that cap it keeps
+only the best; in scenario 1 it then bounds every block of 2^14
+assignments first, visits the blocks best bound first and stops once no
+block left can reach the best value, after a few blocks.  The winner is
+the same lexicographically smallest maximizer as a full enumeration's,
+with the same bits.  Scenario 2 visits every block.  Without es_values, SA's
+single evaluations use the same fact lazily: each run memoizes the
+bounds row of the last SINGLE_MEMO_ROWS column patterns per gateway, so a
+one-bit move computes at most one gateway's bounds and the trace keeps
+its bits.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .rates import (
     DecodingAssignment,
     EvaluationMode,
     _active_mask,
+    _decoding_order,
     _lp_optimum,
     combine_bounds,
     evaluate_fixed_order_batch,
@@ -45,13 +52,15 @@ from .rates import (
     search_space_size,
 )
 
-# At 2^24 assignments, exhaustive_search takes about 3 s at 12 x 2
-# (scenario 2) and 27 s at 24 x 1, where every column pattern is distinct,
-# with one BLAS thread on a 2-vCPU machine; peak RSS is 42 and 57 MB, as
-# memory follows the 2^14-assignment chunk, not the space.  lp-exact ES
-# solves one LP per assignment: about 16 s for the 2^16 of 8 x 2.
-# Campaigns run ES whenever the space fits, so the caps also decide which
-# campaigns report mse_vs_es.
+# At 2^24 assignments, with one BLAS thread on a 2-vCPU machine,
+# exhaustive_search takes 0.02-0.04 s at 12 x 2 and 0.06-0.08 s at 24 x 1
+# in scenario 1, where the block bound stops it after a few blocks, but
+# 2.8-3.7 s at 12 x 2 and 27-32 s at 24 x 1 in scenario 2, where it
+# visits every block; so the cap now guards scenario 2.  Peak RSS is 37-38
+# and 57 MB in either scenario, as memory follows the 2^14-assignment
+# block, not the space.  lp-exact ES solves one LP per assignment: about
+# 16 s for the 2^16 of 8 x 2.  Campaigns run ES whenever the space fits,
+# so the caps also decide which campaigns report mse_vs_es.
 EXHAUSTIVE_CAP = 2 ** 24
 LP_EXHAUSTIVE_CAP = 2 ** 16
 
@@ -327,6 +336,39 @@ def _table_sums(channel, table, outer, silent):
         yield sums
 
 
+def _block_bounds(channel, outer, fixed):
+    """(B,) upper bounds on the scenario-1 sum-rate of every assignment in
+    each outer block, from its (B, K, N) outer flags; fixed (K, N) marks
+    the outer bits.
+
+    In scenario 1 every geophone transmits, so in every assignment of a
+    block geophone j decoded at gateway i hears at least the geophones
+    that cannot be decoded before j there: they follow j in i's decoding
+    order, or their bit at i is fixed to 0.  Less interference only raises
+    the SIC bound, so u_ij, the bound under that interference, bounds j's
+    rate at i.  j's rate is then at most the least u_ij over the gateways
+    fixed to decode it, else the largest over its free gateways, else 0.
+
+    Scenario 2 has no such bound here: counting only the geophones with an
+    outer bit set as sure to transmit left 50-100% of the blocks to visit,
+    depending on the channel, so its search time varied with the channel
+    for a small mean gain.
+    """
+    p, n0 = channel.gp_power, channel.noise_power
+    zero = fixed & ~outer
+    u = np.empty(outer.shape)
+    for i in range(channel.num_gws):
+        order = _decoding_order(channel.gains[:, i])
+        h2 = channel.gains[order, i] ** 2
+        blocked = h2 * zero[:, order, i]
+        interference = (np.cumsum(h2[::-1])[::-1] - h2
+                        + np.cumsum(blocked, axis=1) - blocked)
+        u[:, order, i] = np.log2(1.0 + p * h2 / (n0 + p * interference))
+    capped = np.where(outer, u, np.inf).min(axis=2)
+    rates = np.where(np.isinf(capped), np.where(fixed, 0.0, u).max(axis=2), capped)
+    return rates.sum(axis=1)
+
+
 def exhaustive_refusal(channel, mode):
     """Why exhaustive_search refuses this channel under this mode, or None:
     2^(K*N) assignments over EXHAUSTIVE_CAP, or LP_EXHAUSTIVE_CAP for lp-exact."""
@@ -370,6 +412,20 @@ def exhaustive_search(channel, mode=EvaluationMode()):
     per assignment, and the sums equal evaluate_fixed_order_batch's bit
     for bit.  The lp-exact evaluator solves one LP per assignment, in the
     same order.
+
+    When the values are not kept (more than ES_VALUES_CAP assignments),
+    the fixed-order search in scenario 1 is a branch and bound one level
+    deep (Land and Doig, 1960): _block_bounds gives each outer block an
+    upper bound, the blocks are visited in descending bound order (ties
+    by block index), and the search stops at the first block whose
+    bound * (1 + 1e-9) is below the best value, as no value in it or in a
+    later block can reach the best; the slack covers a bound and a rate
+    that add the same powers in another order.  A block's maximizer
+    replaces the best when it is larger, or equal with a smaller flat
+    index, so the winner is still the lexicographically smallest
+    maximizer, with the same value bits.
+    Scenario 2 visits every block in index order, so its search time does
+    not depend on the channel.
     """
     refusal = exhaustive_refusal(channel, mode)
     if refusal:
@@ -379,21 +435,29 @@ def exhaustive_search(channel, mode=EvaluationMode()):
     inner_bits = min(k * n, 14)
     inner = _flag_matrices(np.arange(1 << inner_bits), k, n)
     outer = _flag_matrices(np.arange(total >> inner_bits) << inner_bits, k, n)
+    values = np.empty(total) if total <= ES_VALUES_CAP else None
+    bounds, order = np.full(len(outer), np.inf), np.arange(len(outer))
     if mode.order_policy == ORDER_LP:
         objective = _Objective(channel, mode)
         block_sums = (objective.batch(flags | inner) for flags in outer)
     else:
         silent = mode.undecoded_gp_policy == UNDECODED_SILENT
         table = _pattern_table(channel, inner, silent)
-        block_sums = _table_sums(channel, table, outer, silent)
-    values = np.empty(total) if total <= ES_VALUES_CAP else None
-    best_sum, best_flags = -np.inf, None
-    for block, (flags, sums) in enumerate(zip(outer, block_sums)):
+        if values is None and not silent:
+            fixed = (np.arange(k * n) < k * n - inner_bits).reshape(k, n)
+            bounds = _block_bounds(channel, outer, fixed)
+            order = np.argsort(-bounds, kind="stable")
+        block_sums = _table_sums(channel, table, outer[order], silent)
+    best_sum, best_block, best_flags = -np.inf, None, None
+    for block, sums in zip(order, block_sums):
+        if bounds[block] * (1 + 1e-9) < best_sum:
+            break
         if values is not None:
             values[block << inner_bits:(block + 1) << inner_bits] = sums
         t = int(np.argmax(sums))
-        if sums[t] > best_sum:
-            best_sum, best_flags = float(sums[t]), flags | inner[t]
+        if sums[t] > best_sum or (sums[t] == best_sum and block < best_block):
+            best_sum, best_block = float(sums[t]), block
+            best_flags = outer[block] | inner[t]
     return ExhaustiveResult(DecodingAssignment(best_flags), best_sum, values)
 
 

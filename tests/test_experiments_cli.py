@@ -246,6 +246,15 @@ class TestRunExperiment:
         assert not (tmp_path / "traces.csv").exists()
         assert not (tmp_path / "summary.csv").exists()
 
+    def test_es_over_the_cap_creates_no_output_dir(self, tmp_path, capsys):
+        outdir = tmp_path / "tmp" / "x"
+        spec = write_spec(tmp_path / "s.json", algorithms=["es"], num_gps=30,
+                          num_gws=5, replications=1, output_dir=str(outdir))
+        assert main(["experiment", "run", str(spec)]) == 4
+        assert "capacity exceeded" in capsys.readouterr().err
+        assert not outdir.exists()
+        assert not outdir.parent.exists()
+
     def test_over_the_cap_without_es_leaves_mse_empty(self, tmp_path):
         rows = run_experiment(ExperimentSpec.from_json(write_spec(
             tmp_path / "s.json", algorithms=["as"], num_gps=30, num_gws=1,

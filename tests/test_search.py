@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_channel
 from oracles import brute_force_exhaustive
@@ -26,6 +28,8 @@ from seisrate.search import (
     PsoParams,
     SearchBudget,
     _aco_probabilities,
+    _block_bounds,
+    _flag_matrices,
     _Objective,
     angle_modulation_bits,
     ant_system,
@@ -470,6 +474,12 @@ class TestConvergenceSmoke:
 # geophone's flags between the two blocks.
 ORACLE_SHAPES = [(k, n) for n in range(1, 6) for k in range(1, 11) if k * n <= 16]
 
+# above ES_VALUES_CAP the search in scenario 1 visits its outer blocks
+# best bound first and stops at the first that cannot win, and scenario 2
+# visits every block; 6 x 3 and 3 x 6 split a geophone's flags between
+# outer and inner bits, 17 x 1 keeps 3 outer bits
+PRUNED_SHAPES = [(9, 2), (6, 3), (17, 1), (3, 6)]
+
 
 class TestExhaustiveAgainstBruteForce:
     """The pattern-table search against every assignment through the batch
@@ -484,8 +494,11 @@ class TestExhaustiveAgainstBruteForce:
         assert best == value
         assert np.array_equal(assignment.flags, flags)
         assert _same_bits(best, evaluate_fixed_order(channel, assignment, mode)[1])
-        # every assignment's value, in flat-index order
         k, n = channel.num_gps, channel.num_gws
+        if 1 << (k * n) > ES_VALUES_CAP:
+            assert result.values is None
+            return flags
+        # every assignment's value, in flat-index order
         index = np.arange(1 << (k * n))
         every = (index[:, None] >> np.arange(k * n - 1, -1, -1)) & 1
         _, sums = evaluate_fixed_order_batch(channel, every.reshape(-1, k, n), mode)
@@ -508,3 +521,100 @@ class TestExhaustiveAgainstBruteForce:
     def test_all_zero_gains_tie_on_the_zero_matrix(self, scenario):
         channel = ChannelMatrix(5, 3, np.zeros((5, 3)), 1e-3, 1e-3)
         assert not self.check(channel, scenario).any()
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("k,n", PRUNED_SHAPES)
+    def test_pruned_random_channels(self, k, n, scenario):
+        self.check(random_channel(k, n, 100 * k + 10 * n + scenario), scenario)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("k,n", PRUNED_SHAPES)
+    def test_pruned_duplicated_geophones_tie(self, k, n, scenario):
+        # duplicated outer geophones put equal maxima in blocks that the
+        # bound order may visit larger flat index first
+        gains = random_channel(k, n, 7).gains.copy()
+        gains[1::2] = gains[0::2][: k // 2]
+        self.check(ChannelMatrix(k, n, gains, 1e-3, 1e-3), scenario)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("k,n", PRUNED_SHAPES)
+    def test_pruned_all_zero_gains_tie_on_the_zero_matrix(self, k, n, scenario):
+        # every assignment scores 0, so every block's bound ties the best
+        channel = ChannelMatrix(k, n, np.zeros((k, n)), 1e-3, 1e-3)
+        assignment, best = exhaustive_search(channel, EvaluationMode.scenario(scenario))
+        assert best == 0.0
+        assert not assignment.flags.any()
+
+    def test_ties_go_to_the_smaller_index_in_any_block_order(self, monkeypatch):
+        # bounds rising with the block index: every block is visited, the
+        # last first, and equal maxima lie in several blocks
+        monkeypatch.setattr(seisrate.search, "_block_bounds",
+                            lambda channel, outer, fixed:
+                            1e3 + np.arange(len(outer)))
+        gains = random_channel(9, 2, 7).gains.copy()
+        gains[1::2] = gains[0::2][:4]
+        self.check(ChannelMatrix(9, 2, gains, 1e-3, 1e-3), 1)
+        channel = ChannelMatrix(9, 2, np.zeros((9, 2)), 1e-3, 1e-3)
+        assert not self.check(channel, 1).any()
+
+
+@st.composite
+def tied_channels(draw):
+    """A channel of at most 2^10 assignments whose gains repeat a few
+    values, zero among them, and a split of its flat index into outer and
+    inner bits."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = np.append(rng.rayleigh(1.0, draw(st.integers(1, 3))), 0.0)
+    gains = rng.choice(pool, size=(k, n))
+    return ChannelMatrix(k, n, gains, 1e-3, 1e-3), draw(st.integers(0, k * n))
+
+
+class TestBlockBounds:
+    @given(tied_channels())
+    @settings(max_examples=150, deadline=None)
+    def test_no_block_beats_its_bound(self, case):
+        # within the slack that exhaustive_search prunes with: a bound and
+        # the rate it caps may sum the same powers in another order
+        channel, inner_bits = case
+        mode = EvaluationMode.scenario(1)
+        k, n = channel.num_gps, channel.num_gws
+        every = _flag_matrices(np.arange(1 << (k * n)), k, n)
+        _, sums = evaluate_fixed_order_batch(channel, every, mode)
+        tops = sums.reshape(-1, 1 << inner_bits).max(axis=1)
+        fixed = (np.arange(k * n) < k * n - inner_bits).reshape(k, n)
+        bounds = _block_bounds(channel, every[::1 << inner_bits], fixed)
+        assert np.all(bounds * (1 + 1e-9) >= tops)
+
+
+def _count_gateway_bounds(monkeypatch):
+    calls = []
+    real = seisrate.search.gateway_bounds
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(seisrate.search, "gateway_bounds", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pruning_visits_few_blocks_at_24_by_1(seed, monkeypatch):
+    # 2^24 assignments in 1024 blocks of 2^14, one gateway_bounds call per
+    # block and gateway: scenario 1 stops after a few blocks
+    calls = _count_gateway_bounds(monkeypatch)
+    channel = random_channel(24, 1, seed)
+    mode = EvaluationMode.scenario(1)
+    assignment, best = exhaustive_search(channel, mode)
+    assert len(calls) <= 64
+    assert _same_bits(best, evaluate_fixed_order(channel, assignment, mode)[1])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scenario_2_visits_every_block(seed, monkeypatch):
+    # 2^18 assignments in 16 blocks of 2^14, 2 gateways: the same work on
+    # every channel
+    calls = _count_gateway_bounds(monkeypatch)
+    exhaustive_search(random_channel(9, 2, seed), EvaluationMode.scenario(2))
+    assert len(calls) == 16 * 2

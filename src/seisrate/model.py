@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -65,6 +66,23 @@ class ChannelMatrix:
             and self.noise_power == other.noise_power
             and np.array_equal(self.gains, other.gains)
         )
+
+    @cached_property
+    def decode_table(self):
+        """Per gateway, (order, inverse, h2, ph2): the geophones in
+        descending-gain SIC decode order (ties to the lower index), the
+        inverse permutation, the squared gains in decode order and
+        gp_power times them.  Computed on first use, then kept, read-only
+        like gains."""
+        table = []
+        for i in range(self.num_gws):
+            order = np.argsort(-self.gains[:, i], kind="stable")
+            h2 = self.gains[order, i] ** 2
+            entry = (order, np.argsort(order), h2, self.gp_power * h2)
+            for array in entry:
+                array.setflags(write=False)
+            table.append(entry)
+        return tuple(table)
 
 
 @dataclass(frozen=True, eq=False)

@@ -140,11 +140,6 @@ def link_capacity(signal_power, gain, noise_plus_interference):
     return math.log2(1.0 + signal_power * gain * gain / noise_plus_interference)
 
 
-def _decoding_order(gains_col):
-    """Descending-gain order of geophone indices; ties to the lower index."""
-    return np.argsort(-gains_col, kind="stable")
-
-
 def _active_mask(flags, policy):
     """Which geophones transmit: all of them, or only those decoded somewhere."""
     if policy == UNDECODED_SILENT:
@@ -179,45 +174,45 @@ def sic_corner_rates(channel, assignment, gw_index, permutation):
 def gateway_bounds(channel, gw_index, decoded, transmitting):
     """SIC rate bounds at one gateway under descending-gain decoding.
 
-    decoded, transmitting: (B, K) boolean; decoded[b, j] says whether this
-    gateway decodes geophone j, transmitting[b, j] whether geophone j is
-    on, so that it interferes here when it is not decoded.  Returns the
-    (B, K) bounds, inf where the geophone is not decoded here.
+    decoded, transmitting: (..., K) boolean, one geophone per entry of the
+    last axis; decoded says whether this gateway decodes the geophone,
+    transmitting whether it is on, so that it interferes here when it is
+    not decoded.  Returns bounds of the same shape, inf where the geophone
+    is not decoded here: a (K,) row runs through the same operations as a
+    (B, K) batch.
 
-    Every sum runs sequentially along a row, in decode order, so a row's
-    bounds do not depend on the batch it is evaluated in: a BLAS product
-    or numpy's pairwise sum may add a row in another order depending on
-    the batch's shape.
+    Every sum runs sequentially along the last axis, in decode order, so a
+    row's bounds do not depend on the batch it is evaluated in: a BLAS
+    product or numpy's pairwise sum may add a row in another order
+    depending on the batch's shape.
     """
-    order = _decoding_order(channel.gains[:, gw_index])
-    h2i = channel.gains[order, gw_index] ** 2
+    order, inverse, h2, ph2 = channel.decode_table[gw_index]
     p, n0 = channel.gp_power, channel.noise_power
-    fi = decoded[:, order]                   # decoded flags, decode order
-    undec = (~fi) & transmitting[:, order]
-    base_int = p * np.cumsum(undec * h2i, axis=1)[:, -1]    # (B,)
-    w = fi * h2i
-    suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1] - w
-    denom = n0 + p * suffix + base_int[:, None]
-    r = np.log2(1.0 + p * h2i / denom)       # denom >= n0 > 0
-    bounds = np.full(fi.shape, np.inf)
-    bounds[:, order] = np.where(fi, r, np.inf)
-    return bounds
+    fi = decoded[..., order]                 # decoded flags, decode order
+    undec = ~fi & transmitting[..., order]
+    base_int = p * (undec * h2).cumsum(axis=-1)[..., -1:]
+    w = fi * h2
+    suffix = w[..., ::-1].cumsum(axis=-1)[..., ::-1] - w
+    denom = n0 + p * suffix + base_int
+    r = np.log2(1.0 + ph2 / denom)           # denom >= n0 > 0
+    return np.where(fi, r, np.inf)[..., inverse]
 
 
 def combine_bounds(gateway_rows):
-    """(rates, sums) from the (B, K) gateway_bounds of every gateway.
+    """(rates, sums) from the gateway_bounds of every gateway, (K,) rows
+    or (B, K) batches.
 
     A geophone's rate is the minimum of its bounds across gateways, and 0
-    where none decodes it (every bound inf); sums are the per-row totals,
-    each added left to right so that it does not depend on the batch.  The
-    minimum is taken in place in the first gateway's array.
+    where none decodes it (every bound inf); sums are the totals along the
+    last axis, each added left to right so that it does not depend on the
+    batch.  The minimum is taken in place in the first gateway's array.
     """
     rows = iter(gateway_rows)
     bounds = next(rows)
     for gw in rows:
         np.minimum(bounds, gw, out=bounds)
     rates = np.where(np.isfinite(bounds), bounds, 0.0)
-    return rates, np.cumsum(rates, axis=1)[:, -1]
+    return rates, rates.cumsum(axis=-1)[..., -1]
 
 
 def evaluate_fixed_order_batch(channel, flags_batch, mode):

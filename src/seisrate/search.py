@@ -20,11 +20,11 @@ only the best; in scenario 1 it then bounds every block of 2^14
 assignments first, visits the blocks best bound first and stops once no
 block left can reach the best value, after a few blocks.  The winner is
 the same lexicographically smallest maximizer as a full enumeration's,
-with the same bits.  Scenario 2 visits every block.  Without es_values, SA's
-single evaluations use the same fact lazily: each run memoizes the
-bounds row of the last SINGLE_MEMO_ROWS column patterns per gateway, so a
-one-bit move computes at most one gateway's bounds and the trace keeps
-its bits.
+with the same bits.  Scenario 2 visits every block.  Without es_values, SA
+uses the same fact one move at a time: its state keeps each gateway's
+bounds row, and a one-bit move recomputes only the flipped bit's gateway
+(every gateway when, in scenario 2, the flip switches its geophone on or
+off), so the trace keeps its bits.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .rates import (
     DecodingAssignment,
     EvaluationMode,
     _active_mask,
-    _decoding_order,
     _lp_optimum,
     combine_bounds,
     evaluate_fixed_order_batch,
@@ -69,13 +69,6 @@ LP_EXHAUSTIVE_CAP = 2 ** 16
 # them to the metaheuristics on that channel, which then look their
 # values up instead of evaluating; larger spaces keep only the best.
 ES_VALUES_CAP = 2 ** 16
-
-# Column patterns that _Objective.single keeps per gateway, least recently
-# used dropped first.  8 x 2 in scenario 1 has 2^8 patterns per gateway,
-# so all of them stay; in one 40 x 4 scenario-2 SA run of 4000 moves an
-# unbounded memo grew to about 5300 rows and 3.1 MB, against 1024 rows
-# and 0.6 MB with this bound.
-SINGLE_MEMO_ROWS = 256
 
 HEURISTIC_NONE = "none"
 HEURISTIC_GW_AVERAGE = "gw-average"
@@ -171,6 +164,19 @@ class SearchTrace:
     algorithm: str = ""
 
 
+class _State(NamedTuple):
+    """An SA state: flat boolean flags, their sum-rate and what
+    _Objective.flip needs to evaluate a neighbour, the flat index with
+    es_values, or every gateway's bounds row and the transmitting mask
+    under the fixed-order evaluator."""
+
+    flags: np.ndarray
+    value: float
+    index: int | None = None
+    rows: list | None = None
+    transmitting: np.ndarray | None = None
+
+
 class _Objective:
     """Counts evaluations, dispatches to the configured evaluator and keeps
     the best assignment seen.
@@ -185,11 +191,12 @@ class _Objective:
     Both evaluators give an assignment's value the same bits in any batch,
     so the searches see exactly the values they would compute.
 
-    Otherwise, under the fixed-order evaluator, single() memoizes each
-    gateway's bounds row by the gateway's column digits (as in
-    _pattern_table), so an SA move, which flips one bit, computes at most
-    one new row; gateway_bounds gives a row the same bits alone as in any
-    batch, so the sums are batch()'s.
+    SA walks by one-bit moves through start() and flip().  With es_values
+    a state keeps its flat index, and a move reads the value at the index
+    with the bit flipped.  Under the fixed-order evaluator a state keeps
+    each gateway's bounds row, and a move recomputes only the rows whose
+    column changed; gateway_bounds gives a (K,) row the bits it has in any
+    batch, so the values are batch()'s.  Under lp a move is single().
     """
 
     def __init__(self, channel, mode, es_values=None):
@@ -205,9 +212,6 @@ class _Objective:
             raise ValueError(f"es_values must hold all 2^{d} assignments")
         self.es_values = es_values
         self.place = 1 << np.arange(d - 1, -1, -1, dtype=np.int64)
-        # per gateway: column digits -> (1, K) bounds, oldest use first
-        self.memo = (None if mode.order_policy == ORDER_LP or es_values is not None
-                     else [{} for _ in range(channel.num_gws)])
         self.t0 = time.perf_counter()
 
     def _tally(self, flags_batch, sums):
@@ -233,28 +237,60 @@ class _Objective:
 
     def single(self, flags):
         """Sum-rate of one (K, N) or flat (K*N,) assignment."""
-        if self.memo is None:
-            return float(self.batch(flags[None])[0])
-        f = np.asarray(flags).reshape(self.shape).astype(bool)
+        return float(self.batch(flags[None])[0])
+
+    def _kept(self, state):
+        self.count += 1
+        if state.value > self.best_sum:
+            self.best_sum = state.value
+            self.best_flags = state.flags.reshape(self.shape).astype(np.int8)
+        return state
+
+    def _with_rows(self, flags, rows, transmitting):
+        first, *others = rows
+        # combine_bounds writes the minimum into the first row
+        _, total = combine_bounds([first.copy(), *others])
+        return self._kept(_State(flags, float(total), None, rows, transmitting))
+
+    def start(self, flags):
+        """The _State at flat (K*N,) boolean flags, one evaluation."""
+        if self.es_values is not None:
+            index = int(flags @ self.place)
+            return self._kept(_State(flags, float(self.es_values[index]), index))
+        if self.mode.order_policy == ORDER_LP:
+            return _State(flags, self.single(flags))
+        f = flags.reshape(self.shape)
         transmitting = _active_mask(f, self.mode.undecoded_gp_policy)
-        digits = np.where(f, 1, 2 * transmitting[:, None]).astype(np.int8)
-        keys = digits.T.tobytes()
-        k = self.shape[0]
-        rows = []
-        for i, memo in enumerate(self.memo):
-            key = keys[i * k:(i + 1) * k]
-            row = memo.pop(key, None)
-            if row is None:
-                row = gateway_bounds(self.channel, i, f[None, :, i],
-                                     transmitting[None])
-                if len(memo) == SINGLE_MEMO_ROWS:
-                    del memo[next(iter(memo))]
-            memo[key] = row
-            rows.append(row)
-        rows[0] = rows[0].copy()    # combine_bounds writes the minimum there
-        _, sums = combine_bounds(rows)
-        self._tally(f[None], sums)
-        return float(sums[0])
+        return self._with_rows(flags, [
+            gateway_bounds(self.channel, i, f[:, i], transmitting)
+            for i in range(self.shape[1])], transmitting)
+
+    def flip(self, state, bit):
+        """The _State with flat bit flipped, one evaluation.
+
+        Under the fixed-order evaluator only the flipped bit's gateway gets
+        a new bounds row, or every gateway when, in scenario 2, the flip
+        switches its geophone on or off.
+        """
+        flags = state.flags.copy()
+        flags[bit] = not flags[bit]
+        if state.index is not None:
+            index = state.index ^ int(self.place[bit])
+            return self._kept(_State(flags, float(self.es_values[index]), index))
+        if state.rows is None:
+            return _State(flags, self.single(flags))
+        j, i = divmod(bit, self.shape[1])
+        f = flags.reshape(self.shape)
+        rows, transmitting = list(state.rows), state.transmitting
+        gateways = (i,)
+        if (self.mode.undecoded_gp_policy == UNDECODED_SILENT
+                and f[j].any() != transmitting[j]):
+            transmitting = transmitting.copy()
+            transmitting[j] = not transmitting[j]
+            gateways = range(len(rows))
+        for g in gateways:
+            rows[g] = gateway_bounds(self.channel, g, f[:, g], transmitting)
+        return self._with_rows(flags, rows, transmitting)
 
     def record(self):
         self.history.append(self.best_sum)
@@ -357,13 +393,11 @@ def _block_bounds(channel, outer, fixed):
     p, n0 = channel.gp_power, channel.noise_power
     zero = fixed & ~outer
     u = np.empty(outer.shape)
-    for i in range(channel.num_gws):
-        order = _decoding_order(channel.gains[:, i])
-        h2 = channel.gains[order, i] ** 2
+    for i, (order, _, h2, ph2) in enumerate(channel.decode_table):
         blocked = h2 * zero[:, order, i]
         interference = (np.cumsum(h2[::-1])[::-1] - h2
                         + np.cumsum(blocked, axis=1) - blocked)
-        u[:, order, i] = np.log2(1.0 + p * h2 / (n0 + p * interference))
+        u[:, order, i] = np.log2(1.0 + ph2 / (n0 + p * interference))
     capped = np.where(outer, u, np.inf).min(axis=2)
     rates = np.where(np.isinf(capped), np.where(fixed, 0.0, u).max(axis=2), capped)
     return rates.sum(axis=1)
@@ -687,25 +721,21 @@ def simulated_annealing(channel, budget, mode=EvaluationMode(), es_values=None):
     cooling = SA_FLOOR_RATIO ** (SA_RESTART_CYCLES / total_moves)
 
     def fresh_state():
-        flags = (rng.random(d) < 0.5).astype(np.int8)
-        return flags, objective.single(flags)
+        return objective.start(rng.random(d) < 0.5)
 
-    state, state_val = fresh_state()
+    state = fresh_state()
     temperature = t_max
     record_every = budget.population
     for move in range(total_moves):
-        flip = rng.integers(d)
-        cand = state.copy()
-        cand[flip] ^= 1
-        cand_val = objective.single(cand)
-        delta = cand_val - objective.best_sum
-        if cand_val >= state_val or \
+        cand = objective.flip(state, int(rng.integers(d)))
+        delta = cand.value - objective.best_sum
+        if cand.value >= state.value or \
                 rng.random() < sa_acceptance_probability(delta, temperature):
-            state, state_val = cand, cand_val
+            state = cand
         temperature *= cooling
         if temperature < t_floor and move != total_moves - 1:
             temperature = t_max
-            state, state_val = fresh_state()
+            state = fresh_state()
         if (move + 1) % record_every == 0:
             objective.record()
     if len(objective.history) < budget.iterations:

@@ -38,6 +38,22 @@ class TestChannelMatrix:
         with pytest.raises(ValueError):
             paper_channel.gains[0, 0] = 9.9
 
+    def test_decode_table(self):
+        # descending gain, ties to the lower index; kept and read-only
+        gains = np.array([[1.0, 2.0], [3.0, 2.0], [1.0, 0.0]])
+        channel = ChannelMatrix(3, 2, gains, 2e-3, 1e-3)
+        table = channel.decode_table
+        assert channel.decode_table is table
+        for i, want in enumerate([[1, 0, 2], [0, 1, 2]]):
+            order, inverse, h2, ph2 = table[i]
+            assert order.tolist() == want
+            assert np.array_equal(order[inverse], np.arange(3))
+            assert h2.tolist() == (gains[order, i] ** 2).tolist()
+            assert ph2.tolist() == (2e-3 * h2).tolist()
+            for array in table[i]:
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
 
 class TestGenerateRayleigh:
     def test_deterministic_for_fixed_seed(self):

@@ -17,9 +17,12 @@ from seisrate.rates import (
     UNDECODED_SILENT,
     DecodingAssignment,
     EvaluationMode,
+    _active_mask,
+    combine_bounds,
     evaluate_fixed_order,
     evaluate_fixed_order_batch,
     evaluate_lp,
+    gateway_bounds,
     link_capacity,
     search_space_size,
     sic_corner_rates,
@@ -184,6 +187,31 @@ class TestEvaluateFixedOrder:
                 assert part_rates.tobytes() == rates[start:stop].tobytes()
                 assert part_sums.tobytes() == sums[start:stop].tobytes()
                 start = stop
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("k,n", [(1, 1), (8, 2), (12, 3), (40, 4)])
+    def test_one_row_has_the_bits_of_a_batch_row(self, k, n, scenario):
+        # gateway_bounds and combine_bounds on a (K,) row, the matching
+        # (1, K) row and that row inside a (B, K) batch
+        policy = EvaluationMode.scenario(scenario).undecoded_gp_policy
+        channel = random_channel(k, n, 5 * k + n + scenario)
+        rng = np.random.default_rng(k + scenario)
+        batch = rng.random((50, k, n)) < rng.random((50, 1, 1))
+        active = _active_mask(batch, policy)
+        rows = [gateway_bounds(channel, i, batch[:, :, i], active) for i in range(n)]
+        rates, sums = combine_bounds([r.copy() for r in rows])
+        for t in range(len(batch)):
+            alone = [gateway_bounds(channel, i, batch[t, :, i], active[t])
+                     for i in range(n)]
+            one = [gateway_bounds(channel, i, batch[t:t + 1, :, i], active[t:t + 1])
+                   for i in range(n)]
+            for i in range(n):
+                assert alone[i].shape == (k,) and one[i].shape == (1, k)
+                assert alone[i].tobytes() == one[i].tobytes() == rows[i][t].tobytes()
+            alone_rates, alone_sum = combine_bounds(alone)
+            one_rates, one_sum = combine_bounds(one)
+            assert alone_rates.tobytes() == one_rates.tobytes() == rates[t].tobytes()
+            assert alone_sum.tobytes() == one_sum.tobytes() == sums[t:t + 1].tobytes()
 
     def test_undecoded_gp_has_zero_rate(self):
         channel = random_channel(4, 2, 11)

@@ -13,6 +13,7 @@ from seisrate.rates import (
     ORDER_LP,
     DecodingAssignment,
     EvaluationMode,
+    _active_mask,
     evaluate,
     evaluate_fixed_order,
     evaluate_fixed_order_batch,
@@ -23,7 +24,6 @@ from seisrate.search import (
     ALGORITHMS,
     ES_VALUES_CAP,
     LP_EXHAUSTIVE_CAP,
-    SINGLE_MEMO_ROWS,
     AcoParams,
     PsoParams,
     SearchBudget,
@@ -31,6 +31,7 @@ from seisrate.search import (
     _block_bounds,
     _flag_matrices,
     _Objective,
+    _State,
     angle_modulation_bits,
     ant_system,
     build_heuristic,
@@ -336,100 +337,149 @@ def _same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-class TestSingleMemo:
-    """_Objective.single reads unchanged gateways' bounds from its memo;
-    each value must be the bits of evaluate_fixed_order_batch on that one
-    row, and the count and best must follow batch()."""
+class TestMovePath:
+    """SA's one-bit moves through _Objective.start and flip: each value
+    must be the bits of evaluate_fixed_order_batch on that one row, and
+    the count and best must follow batch() on the same rows."""
 
     @staticmethod
-    def check(channel, scenario, rows):
-        mode = EvaluationMode.scenario(scenario)
-        objective = _Objective(channel, mode)
-        values = [objective.single(flags) for flags in rows]
-        for flags, value in zip(rows, values):
-            _, want = evaluate_fixed_order_batch(channel, flags[None], mode)
-            assert _same_bits(value, want[0])
-        t = int(np.argmax(values))
-        assert objective.count == len(rows)
-        assert objective.best_sum == values[t]
-        assert np.array_equal(objective.best_flags, rows[t])
-        return objective
+    def check(objective, states):
+        channel, mode = objective.channel, objective.mode
+        reference = _Objective(channel, mode)   # evaluate_fixed_order_batch
+        for state in states:
+            flags = state.flags.reshape(1, channel.num_gps, channel.num_gws)
+            assert _same_bits(state.value, reference.batch(flags)[0])
+            if state.transmitting is not None:
+                assert np.array_equal(state.transmitting,
+                                      _active_mask(flags[0], mode.undecoded_gp_policy))
+        assert objective.count == reference.count == len(states)
+        assert objective.best_sum == reference.best_sum
+        assert np.array_equal(objective.best_flags, reference.best_flags)
 
     @staticmethod
-    def random_rows(channel, count, seed):
-        shape = (count, channel.num_gps, channel.num_gws)
-        rows = (np.random.default_rng(seed).random(shape) < 0.5).astype(np.int8)
-        # repeat every row so that each second visit is a memo hit
-        return np.concatenate([rows, rows])
+    def walk(objective, moves, seed, restart_every=100):
+        """SA's pattern of calls: a candidate one flip from the current
+        state, accepted half the time, and a restart now and then."""
+        rng = np.random.default_rng(seed)
+        d = objective.shape[0] * objective.shape[1]
+        states = []
+        for move in range(moves):
+            if move % restart_every == 0:
+                state = objective.start(rng.random(d) < 0.5)
+                states.append(state)
+            cand = objective.flip(state, int(rng.integers(d)))
+            states.append(cand)
+            if rng.random() < 0.5:
+                state = cand
+        return states
+
+    def check_walk(self, channel, scenario, moves=300):
+        objective = _Objective(channel, EvaluationMode.scenario(scenario))
+        self.check(objective, self.walk(objective, moves, scenario))
 
     @pytest.mark.parametrize("scenario", [1, 2])
-    @pytest.mark.parametrize("k,n", [(3, 2), (8, 2), (5, 4)])
-    def test_random_flags(self, k, n, scenario):
-        channel = random_channel(k, n, 40 + k + n + scenario)
-        self.check(channel, scenario, self.random_rows(channel, 150, scenario))
+    @pytest.mark.parametrize("k,n", [(3, 2), (8, 2), (5, 4), (12, 3)])
+    def test_random_walks(self, k, n, scenario):
+        self.check_walk(random_channel(k, n, 40 + k + n + scenario), scenario)
+
+    def test_switching_geophones_on_and_off(self):
+        # scenario 2 from all-zero: each first bit of a geophone switches
+        # it on, each last bit off, and every gateway's row changes
+        channel = random_channel(4, 3, 5)
+        objective = _Objective(channel, EvaluationMode.scenario(2))
+        states = [objective.start(np.zeros(12, bool))]
+        for bit in (0, 4, 1, 11, 0, 10, 1, 4, 11, 10):
+            states.append(objective.flip(states[-1], bit))
+        assert [int(s.transmitting.sum()) for s in states] == [
+            0, 1, 2, 2, 3, 3, 3, 2, 1, 1, 0]
+        assert states[0].value == states[-1].value == 0.0
+        self.check(objective, states)
 
     @pytest.mark.parametrize("scenario", [1, 2])
     def test_all_zero_gains(self, scenario):
-        channel = ChannelMatrix(5, 3, np.zeros((5, 3)), 1e-3, 1e-3)
-        rows = self.random_rows(channel, 60, scenario)
-        rows[0] = 0
-        rows[1] = 1
-        self.check(channel, scenario, rows)
+        self.check_walk(ChannelMatrix(5, 3, np.zeros((5, 3)), 1e-3, 1e-3), scenario)
 
     @pytest.mark.parametrize("scenario", [1, 2])
-    def test_duplicated_geophones(self, scenario):
+    def test_duplicated_gains(self, scenario):
         gains = random_channel(8, 2, 7).gains.copy()
         gains[1::2] = gains[0::2]
-        channel = ChannelMatrix(8, 2, gains, 1e-3, 1e-3)
-        self.check(channel, scenario, self.random_rows(channel, 150, scenario))
+        gains[:, 1] = gains[:, 0]
+        self.check_walk(ChannelMatrix(8, 2, gains, 1e-3, 1e-3), scenario)
 
     @pytest.mark.parametrize("scenario", [1, 2])
-    def test_long_walk_evicts(self, scenario):
-        # 12 x 3: up to 2^12 or 3^12 column patterns per gateway, so a
-        # walk of single flips and restarts fills and cycles the memo
-        channel = random_channel(12, 3, 11)
-        rng = np.random.default_rng(scenario)
-        state = (rng.random((12, 3)) < 0.5).astype(np.int8)
-        walk = []
-        for step in range(1500):
-            if step % 300 == 0:
-                state = (rng.random((12, 3)) < 0.5).astype(np.int8)
-            state = state.copy()
-            state[rng.integers(12), rng.integers(3)] ^= 1
-            walk.append(state)
-        # the first states again, after their rows were evicted
-        walk = np.array(walk + walk[:100])
-        objective = self.check(channel, scenario, walk)
-        assert [len(memo) for memo in objective.memo] == [SINGLE_MEMO_ROWS] * 3
+    @pytest.mark.parametrize("k,n", [(1, 1), (1, 4), (9, 1)])
+    def test_one_geophone_or_gateway(self, k, n, scenario):
+        self.check_walk(random_channel(k, n, 3 * k + n), scenario, moves=120)
 
     @pytest.mark.parametrize("scenario", [1, 2])
-    def test_lp_single_goes_through_batch(self, scenario):
+    def test_es_values_moves_read_the_flipped_index(self, scenario):
+        channel = random_channel(5, 3, 8)
+        mode = EvaluationMode.scenario(scenario)
+        objective = _Objective(channel, mode, exhaustive_search(channel, mode).values)
+        states = self.walk(objective, 300, scenario)
+        for state in states:
+            assert state.index == int(state.flags @ objective.place)
+        self.check(objective, states)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_lp_moves_go_through_batch(self, scenario):
         mode = EvaluationMode.scenario(scenario, ORDER_LP)
-        objective = _Objective(random_channel(4, 2, 3), mode)
-        assert objective.memo is None
-        flags = np.ones(8, np.int8)
-        assert _same_bits(objective.single(flags),
-                          objective.batch(flags[None])[0])
+        channel = random_channel(4, 2, 3)
+        objective = _Objective(channel, mode)
+        states = self.walk(objective, 20, scenario, restart_every=8)
+        reference = _Objective(channel, mode)
+        for state in states:
+            assert state.rows is None and state.index is None
+            assert _same_bits(state.value, reference.single(state.flags))
+        assert objective.count == reference.count == len(states)
+        assert np.array_equal(objective.best_flags, reference.best_flags)
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+@pytest.mark.parametrize("k,n", [(8, 2), (4, 3)])
+def test_sa_trace_with_es_values_across_restarts(k, n, scenario):
+    channel = random_channel(k, n, 80 + scenario)
+    mode = EvaluationMode.scenario(scenario)
+    budget = SearchBudget(population=20, iterations=50, seed=scenario)
+    es_values = exhaustive_search(channel, mode).values
+    looked_up = simulated_annealing(channel, budget, mode, es_values)
+    evaluated = simulated_annealing(channel, budget, mode)
+    # one evaluation per (re)start beyond the M*I moves
+    assert looked_up.evaluations > budget.evaluation_budget + 1
+    assert looked_up.best_per_iteration.tobytes() == evaluated.best_per_iteration.tobytes()
+    assert _same_bits(looked_up.best_sum_rate, evaluated.best_sum_rate)
+    assert looked_up.best_assignment == evaluated.best_assignment
+    assert looked_up.evaluations == evaluated.evaluations
 
 
 @pytest.mark.parametrize("scenario", [1, 2])
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_traces_match_unmemoized_single(name, scenario, monkeypatch):
-    """Every algorithm gives the same trace with single() routed through
-    batch() on one row, the path without the memo.  The reference is run
-    here, not stored, since BLAS bits differ between CPUs."""
+    """Every algorithm gives the same trace with SA's moves routed through
+    single(), which evaluates one row with batch() and keeps nothing
+    between calls.  The reference is run here, not stored, since BLAS bits
+    differ between CPUs."""
     channel = random_channel(8, 2, 60 + scenario)
     mode = EvaluationMode.scenario(scenario)
     budget = SearchBudget(population=10, iterations=60, seed=scenario)
-    memoized = run_algorithm(name, channel, budget, mode)
-    monkeypatch.setattr(_Objective, "single",
-                        lambda self, flags: float(self.batch(flags[None])[0]))
+    moved = run_algorithm(name, channel, budget, mode)
+
+    def start(self, flags):
+        return _State(flags, self.single(flags))
+
+    def flip(self, state, bit):
+        flags = state.flags.copy()
+        flags[bit] = not flags[bit]
+        return start(self, flags)
+
+    monkeypatch.setattr(_Objective, "start", start)
+    monkeypatch.setattr(_Objective, "flip", flip)
     plain = run_algorithm(name, channel, budget, mode)
-    assert memoized.algorithm == plain.algorithm == name
-    assert memoized.best_per_iteration.tobytes() == plain.best_per_iteration.tobytes()
-    assert _same_bits(memoized.best_sum_rate, plain.best_sum_rate)
-    assert memoized.best_assignment == plain.best_assignment
-    assert memoized.evaluations == plain.evaluations
+    assert moved.algorithm == plain.algorithm == name
+    assert moved.best_per_iteration.tobytes() == plain.best_per_iteration.tobytes()
+    assert _same_bits(moved.best_sum_rate, plain.best_sum_rate)
+    assert moved.best_assignment == plain.best_assignment
+    assert moved.evaluations == plain.evaluations
 
 
 @pytest.mark.parametrize("evaluator,scenario,k", [

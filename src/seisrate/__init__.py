@@ -24,7 +24,6 @@ from .errors import (
 from .model import (
     ChannelMatrix,
     GatewayState,
-    RngSeed,
     fixture_path,
     generate_gateways,
     generate_rayleigh,
@@ -35,7 +34,6 @@ from .rates import (
     DecodingAssignment,
     EvaluationMode,
     RateVector,
-    evaluate,
     evaluate_fixed_order,
     evaluate_lp,
     link_capacity,

@@ -10,7 +10,7 @@ Three problems over one multiple access channel at the data center:
   into the lexicographically optimal base of the power region.  At those
   powers Q lies on the base of the rate polymatroid, and
   time_share_decompose mixes at most N decoding orders that meet it
-  exactly.
+  exactly, found in one loop over a chain of tight sets.
 * max_weighted_sum: allocate a total power budget to maximize a weighted
   sum of gateway rates; concave in the powers once the rate polytope is
   collapsed to its weight-sorted corner, solved exactly by
@@ -19,13 +19,13 @@ Three problems over one multiple access channel at the data center:
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, InfeasibleProblemError
+from .errors import CapacityLimitError, DecompositionError, InfeasibleProblemError
 
 LN2 = math.log(2.0)
 
@@ -94,6 +94,25 @@ def _required_rate_power(q_sum):
     return math.pow(2.0, q_sum) - 1.0
 
 
+def _check_snr_fits(gateways, members, q_sum):
+    """Raise before 2^q_sum, the SNR a sum rate q_sum of the members needs,
+    is computed if it does not fit in a float.  Any allocation gives some
+    member at least N0 (2^q_sum - 1) / g^2(members), so a per-gateway cap
+    below that is infeasible; otherwise the problem is out of range."""
+    if q_sum < sys.float_info.max_exp:
+        return
+    log2_need = (math.log2(gateways.noise_power) + q_sum
+                 - math.log2(float(np.sum(gateways.gains[members] ** 2))))
+    cap = gateways.per_gw_power_cap
+    if cap is not None and log2_need > math.log2(cap):
+        raise InfeasibleProblemError(
+            f"the queues need a gateway power of at least 2^{log2_need:.6g} W, "
+            f"above the per-gateway cap {cap:.6g} W")
+    raise CapacityLimitError(
+        f"a sum rate of {q_sum:.6g} bps/Hz needs the SNR 2^{q_sum:.6g}, "
+        "which does not fit in a float")
+
+
 def descending_gain_order(gateways, active=None):
     """Gateway indices sorted by descending gain, ties to the lower index."""
     n = gateways.num_gws
@@ -124,6 +143,7 @@ def min_total_power_closed_form(gateways):
     for k in range(len(order) - 1, -1, -1):
         i = order[k]
         new_suffix = suffix_q + q[i]
+        _check_snr_fits(gateways, active, new_suffix)
         powers[i] = n0 * (_required_rate_power(new_suffix)
                           - _required_rate_power(suffix_q)) / g[i] ** 2
         suffix_q = new_suffix
@@ -166,6 +186,7 @@ def min_max_power(gateways):
     noise = gateways.noise_power
     while order.size:
         q_prefix = np.cumsum(q[order])
+        _check_snr_fits(gateways, members, q_prefix[-1])
         ratios = noise * np.expm1(LN2 * q_prefix) / np.cumsum(g2[order])
         k = order.size - 1 - int(np.argmax(ratios[::-1]))  # longest maximizer
         powers[order[:k + 1]] = ratios[k]
@@ -225,35 +246,14 @@ def _tightest_prefix(items, rates, received, noise):
     return order, best_k, best
 
 
-def _interleave(first, last):
-    """Pair two schedules on [0, 1] by their cumulative fractions: each
-    piece decodes an order of `first` and then an order of `last`."""
-    ends_first = list(itertools.accumulate(lam for _, lam in first))
-    ends_last = list(itertools.accumulate(lam for _, lam in last))
-    ends_first[-1] = ends_last[-1] = 1.0
-    pieces, start, i, j = [], 0.0, 0, 0
-    while i < len(first) and j < len(last):
-        end = min(ends_first[i], ends_last[j])
-        if end > start:
-            pieces.append((first[i][0] + last[j][0], end - start))
-            start = end
-        i += ends_first[i] == end
-        j += ends_last[j] == end
-    return pieces
-
-
-def _line_search(items, order, rates, received, noise):
-    """Move from the vertex v of the greedy order through `rates` as far as
-    the region allows: z = rates + alpha (rates - v) for the largest alpha,
-    found by Newton (Dinkelbach) steps on the prefix separator from the
-    best singleton bound.  Returns (alpha, z, z's order, k) with z's
-    prefix of length k tight, so rates = (z + alpha v) / (1 + alpha), or
-    None when no step leaves v: rates <= v with equal sums up to rounding,
-    so v alone is the mix."""
-    vertex, w = {}, 0.0
-    for i in order:  # the first gateway of the greedy order is decoded last
-        vertex[i] = _capacity(received[i], noise + w)
-        w += received[i]
+def _line_search(items, vertex, rates, received, noise):
+    """Move from the vertex v, a dict of corner rates, through `rates` as
+    far as the region allows: z = rates + alpha (rates - v) for the
+    largest alpha, found by Newton (Dinkelbach) steps on the prefix
+    separator from the best singleton bound.  Returns (alpha, z's order, k)
+    with z's prefix of length k tight, so rates = (z + alpha v) / (1 + alpha),
+    or None when no step leaves v: rates <= v with equal sums up to
+    rounding, so v alone is the mix."""
     step = {i: rates[i] - vertex[i] for i in items}
     alpha = min(((_capacity(received[i], noise) - rates[i]) / step[i]
                  for i in items if step[i] > 0), default=None)
@@ -261,64 +261,77 @@ def _line_search(items, order, rates, received, noise):
         z = {i: rates[i] + alpha * step[i] for i in items}
         z_order, k, slack = _tightest_prefix(items, z, received, noise)
         if slack >= 0:
-            return alpha, z, z_order, k
+            return alpha, z_order, k
         tight = z_order[:k]
         shorter = ((_capacity(sum(received[i] for i in tight), noise)
                     - sum(rates[i] for i in tight))
                    / sum(step[i] for i in tight))
         if not shorter < alpha:  # no progress left but rounding
-            return alpha, z, z_order, k
+            return alpha, z_order, k
         alpha = shorter
     return None
+
+
+def _split(order, k, received, noise):
+    """[(order[:k], noise), (order[k:], noise + w(order[:k]))]: the prefix
+    is decoded after the rest, which sees it as noise.  Pushed on a stack,
+    the rest comes off first."""
+    tight = order[:k]
+    return [(tight, noise), (order[k:], noise + sum(received[i] for i in tight))]
 
 
 def _decompose(items, rates, received, noise, tol):
     """(decoding order, fraction) pairs whose corner rates at `noise` mix
     into `rates`, a base of f(S) = log2(1 + w(S)/noise) over `items`.
 
-    A problem with a prefix T tight to within tol splits in two: T decoded
-    last at the plain noise (the restriction of f), the rest decoded first
-    with T as extra noise (the contraction).  Otherwise _line_search moves
-    onto a tight set first and keeps its vertex aside.  Sub-problems are
-    queued instead of recursed into, and their schedules are combined
-    from the last one back, children before parents.
+    The chain holds blocks in decoding order, each with its step alpha,
+    its greedy order and its noise: `noise` plus the received power of the
+    blocks decoded after it.  A new block with a prefix tight to within
+    tol splits there at once; any other steps from its vertex v onto a
+    tight set of z, so its rates are (z + alpha v) / (1 + alpha).  The
+    smallest alpha gives the joint vertex alpha / (1 + alpha) of the time
+    left, from the end of the schedule back.  Its block splits at its
+    tight set, and every other block keeps its vertex for the rest of its
+    step, (alpha_b - alpha) / (1 + alpha).
     """
-    problems = [(items, rates, noise)]
-    schedules = []   # leaves now, splits on the way back
-    plans = []       # (index of the tight child, alpha, vertex order)
-    for items, rates, noise in problems:  # grows while it is walked
-        plan = schedule = None
-        if len(items) == 1:
-            schedule = [((items[0],), 1.0)]
-        else:
-            order, k, slack = _tightest_prefix(items, rates, received, noise)
-            alpha, vertex_order = 0.0, None
-            if slack > tol:
-                vertex_order = tuple(reversed(order))
-                moved = _line_search(items, order, rates, received, noise)
-                if moved is None:
-                    schedule = [(vertex_order, 1.0)]
-                else:
-                    alpha, rates, order, k = moved
-            if schedule is None:
-                plan = (len(problems), alpha, vertex_order)
-                tight = order[:k]
-                problems.append((tight, rates, noise))
-                problems.append((order[k:], rates,
-                                 noise + sum(received[i] for i in tight)))
-        schedules.append(schedule)
-        plans.append(plan)
-    for index in reversed(range(len(problems))):
-        if plans[index] is None:
-            continue
-        child, alpha, vertex_order = plans[index]
-        mixed = _interleave(schedules[child + 1], schedules[child])
-        if alpha:
-            share = 1.0 / (1.0 + alpha)
-            mixed = ([(o, lam * share) for o, lam in mixed]
-                     + [(vertex_order, alpha * share)])
-        schedules[index] = mixed
-    return schedules[0]
+    rates = dict(rates)  # each block's rates move to its z
+    chain, at, todo = [], 0, [(items, noise)]
+    pieces, share = [], 1.0
+    while True:
+        blocks = []
+        while todo:  # new blocks, in decoding order
+            items, noise = todo.pop()
+            order, alpha, cut = tuple(items), math.inf, None
+            if len(items) > 1:
+                order, k, slack = _tightest_prefix(items, rates, received, noise)
+                if slack <= tol:
+                    todo += _split(order, k, received, noise)
+                    continue
+                vertex, w = {}, 0.0
+                for i in order:  # the first of the greedy order is decoded last
+                    vertex[i] = _capacity(received[i], noise + w)
+                    w += received[i]
+                moved = _line_search(items, vertex, rates, received, noise)
+                if moved is not None:
+                    alpha, *cut = moved
+                    for i in items:
+                        rates[i] += alpha * (rates[i] - vertex[i])
+                order = tuple(reversed(order))
+            blocks.append([alpha, order, noise, cut])
+        chain[at:at + 1] = blocks
+        at = min(range(len(chain)), key=lambda b: chain[b][0])
+        alpha, _, noise, cut = chain[at]
+        if alpha == math.inf:
+            break
+        if alpha > 0:
+            pieces.append((tuple(i for b in chain for i in b[1]),
+                           share * alpha / (1.0 + alpha)))
+            share /= 1.0 + alpha
+            for b in chain:
+                b[0] = (b[0] - alpha) / (1.0 + alpha)
+        todo = _split(*cut, received, noise)
+    pieces.append((tuple(i for b in chain for i in b[1]), share))
+    return pieces[::-1]
 
 
 def time_share_decompose(gateways, powers):
@@ -326,14 +339,14 @@ def time_share_decompose(gateways, powers):
 
     At fixed powers the achievable rates form the polymatroid
     f(S) = log2(1 + sum_S P_i g_i^2 / N0), whose vertices are the SIC
-    corners, and Q must lie on its base (Tse & Hanly, 1998).  The
-    decomposition splits on tight prefixes and otherwise line-searches
-    away from one vertex onto a tight set, so it finds a schedule whenever
-    Q is on the base, with at most as many orders as gateways with
-    positive received power (Caratheodory).  Gateways with no received
-    power need Q_i = 0 and are decoded first in every order.  Raises
-    DecompositionError when Q is off the base or the rebuilt mix misses Q
-    by more than 1e-9 (1 + sum Q).
+    corners, and Q must lie on its base (Tse & Hanly, 1998).  One loop
+    refines a chain of tight sets (Fujishige, 2005), each decoded with the
+    sets decoded after it as noise, and emits each joint vertex of the
+    chain once, so it finds a schedule whenever Q is on the base, with at
+    most as many orders as gateways with positive received power.
+    Gateways with no received power need Q_i = 0 and are decoded first in
+    every order.  Raises DecompositionError when Q is off the base or the
+    mix misses Q by more than 1e-9 (1 + sum Q).
     """
     p = np.asarray(powers.powers if isinstance(powers, PowerAllocation) else powers,
                    dtype=float)

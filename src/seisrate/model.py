@@ -9,7 +9,7 @@ Gains are amplitude values; every rate formula squares them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -132,17 +132,6 @@ class GatewayState:
         )
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """Seed wrapper: identical seed and parameters give identical instances."""
-
-    seed: int = field(default=0)
-
-    def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-
-
 def generate_rayleigh(num_gps, num_gws, gp_power, noise_power, seed, scale=1.0):
     """Draw a ChannelMatrix with i.i.d. Rayleigh amplitude gains.
 
@@ -155,8 +144,7 @@ def generate_rayleigh(num_gps, num_gws, gp_power, noise_power, seed, scale=1.0):
         raise ValueError("powers must be positive")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    seed = seed.seed if isinstance(seed, RngSeed) else int(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(seed))
     gains = rng.rayleigh(scale=scale, size=(num_gps, num_gws))
     return ChannelMatrix(num_gps, num_gws, gains, gp_power, noise_power)
 
@@ -166,8 +154,7 @@ def generate_gateways(num_gws, seed, q_low=0.5, q_high=1.5, noise_power=1e-3,
     """Draw a GatewayState with uniform queue rates and Rayleigh gains."""
     if num_gws < 1:
         raise ValueError("num_gws must be positive")
-    seed = seed.seed if isinstance(seed, RngSeed) else int(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(seed))
     q = rng.uniform(q_low, q_high, size=num_gws)
     g = rng.rayleigh(scale=scale, size=num_gws)
     return GatewayState(num_gws, q, g, noise_power,

@@ -278,13 +278,6 @@ def evaluate_lp(channel, assignment, mode=EvaluationMode(ORDER_LP)):
     return RateVector(rates), value
 
 
-def evaluate(channel, assignment, mode=EvaluationMode()):
-    """Dispatch on mode.order_policy."""
-    if mode.order_policy == ORDER_LP:
-        return evaluate_lp(channel, assignment, mode)
-    return evaluate_fixed_order(channel, assignment, mode)
-
-
 def search_space_size(num_gps, num_gws):
     """Number of decoding assignments, [sum_i C(K, i)]^N = 2^(K*N), exact."""
     if num_gps < 0 or num_gws < 0:

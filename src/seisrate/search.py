@@ -37,7 +37,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityLimitError
-from .model import RngSeed
 from .rates import (
     ORDER_LP,
     UNDECODED_SILENT,
@@ -115,8 +114,7 @@ class SearchBudget:
         return float(self.evaluation_budget)
 
     def rng(self):
-        seed = self.seed.seed if isinstance(self.seed, RngSeed) else self.seed
-        return np.random.default_rng(seed)
+        return np.random.default_rng(self.seed)
 
 
 @dataclass(frozen=True)

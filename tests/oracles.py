@@ -7,6 +7,10 @@ enumerating every subset, so the tests can check the fast solvers against
 them on small instances.  The stage-2 oracles share no code with the
 library.
 
+`tree_time_share` is the time-sharing decomposition the library ran
+before its chain of tight sets: a tree of sub-problems recombined
+bottom-up, which the chain must reproduce entry for entry.
+
 For stage 1, `lp_constraint_slacks` and `best_corner_sum` check the two rate
 evaluators from first principles, and `brute_force_exhaustive` is the
 exhaustive search the library once ran: every flat flag pattern through
@@ -207,6 +211,121 @@ def weighted_slsqp(gateways, weights, total_cap):
     if not res.success:
         raise RuntimeError(f"SLSQP failed: {res.message}")
     return -res.fun
+
+
+def _tree_capacity(received, noise):
+    return math.log1p(received / noise) / LN2
+
+
+def _tree_tightest_prefix(items, rates, received, noise):
+    """(order, k, slack) of the least-slack proper prefix of the items
+    sorted by rates_i / w_i descending."""
+    order = sorted(items, key=lambda i: -rates[i] / received[i])
+    best_k, best = 0, math.inf
+    w = r = 0.0
+    for k, i in enumerate(order[:-1], 1):
+        w += received[i]
+        r += rates[i]
+        slack = _tree_capacity(w, noise) - r
+        if slack < best:
+            best_k, best = k, slack
+    return order, best_k, best
+
+
+def _tree_interleave(first, last):
+    """Pair two schedules on [0, 1] by their cumulative fractions: each
+    piece decodes an order of `first` and then an order of `last`."""
+    ends_first = list(itertools.accumulate(lam for _, lam in first))
+    ends_last = list(itertools.accumulate(lam for _, lam in last))
+    ends_first[-1] = ends_last[-1] = 1.0
+    pieces, start, i, j = [], 0.0, 0, 0
+    while i < len(first) and j < len(last):
+        end = min(ends_first[i], ends_last[j])
+        if end > start:
+            pieces.append((first[i][0] + last[j][0], end - start))
+            start = end
+        i += ends_first[i] == end
+        j += ends_last[j] == end
+    return pieces
+
+
+def _tree_line_search(items, order, rates, received, noise):
+    """(alpha, z, z's order, k) for the step from the greedy vertex of
+    `order` through `rates` onto a tight set, or None."""
+    vertex, w = {}, 0.0
+    for i in order:
+        vertex[i] = _tree_capacity(received[i], noise + w)
+        w += received[i]
+    step = {i: rates[i] - vertex[i] for i in items}
+    alpha = min(((_tree_capacity(received[i], noise) - rates[i]) / step[i]
+                 for i in items if step[i] > 0), default=None)
+    while alpha is not None:
+        z = {i: rates[i] + alpha * step[i] for i in items}
+        z_order, k, slack = _tree_tightest_prefix(items, z, received, noise)
+        if slack >= 0:
+            return alpha, z, z_order, k
+        tight = z_order[:k]
+        shorter = ((_tree_capacity(sum(received[i] for i in tight), noise)
+                    - sum(rates[i] for i in tight))
+                   / sum(step[i] for i in tight))
+        if not shorter < alpha:
+            return alpha, z, z_order, k
+        alpha = shorter
+    return None
+
+
+def tree_time_share(gateways, powers):
+    """(order, fraction) entries of the time-sharing schedule for Q at the
+    powers, built the way the library once built it: a tree of
+    sub-problems, each split on a tight prefix or line-searched onto one,
+    whose schedules are interleaved bottom-up by cumulative fraction.
+    Gateways without received power are decoded first in every order.
+    Assumes Q is on the base; checks nothing."""
+    p = np.asarray(powers, dtype=float)
+    q = gateways.queue_rates
+    received = p * gateways.gains ** 2
+    n = gateways.num_gws
+    idle = tuple(i for i in range(n) if received[i] <= 0)
+    live = [i for i in range(n) if received[i] > 0]
+    if not live:
+        return [(idle, 1.0)]
+    tol = 1e-12 * (1.0 + float(q.sum()))
+    power = {i: float(received[i]) for i in live}
+    problems = [(live, {i: float(q[i]) for i in live}, gateways.noise_power)]
+    schedules, plans = [], []
+    for items, rates, noise in problems:
+        plan = schedule = None
+        if len(items) == 1:
+            schedule = [((items[0],), 1.0)]
+        else:
+            order, k, slack = _tree_tightest_prefix(items, rates, power, noise)
+            alpha, vertex_order = 0.0, None
+            if slack > tol:
+                vertex_order = tuple(reversed(order))
+                moved = _tree_line_search(items, order, rates, power, noise)
+                if moved is None:
+                    schedule = [(vertex_order, 1.0)]
+                else:
+                    alpha, rates, order, k = moved
+            if schedule is None:
+                plan = (len(problems), alpha, vertex_order)
+                tight = order[:k]
+                problems.append((tight, rates, noise))
+                problems.append((order[k:], rates,
+                                 noise + sum(power[i] for i in tight)))
+        schedules.append(schedule)
+        plans.append(plan)
+    for index in reversed(range(len(problems))):
+        if plans[index] is None:
+            continue
+        child, alpha, vertex_order = plans[index]
+        mixed = _tree_interleave(schedules[child + 1], schedules[child])
+        if alpha:
+            share = 1.0 / (1.0 + alpha)
+            mixed = ([(o, lam * share) for o, lam in mixed]
+                     + [(vertex_order, alpha * share)])
+        schedules[index] = mixed
+    return [(idle + order, lam) for order, lam in schedules[0]]
 
 
 def _interference(channel, flags, gw, mode):

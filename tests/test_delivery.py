@@ -10,11 +10,16 @@ from oracles import (
     min_max_lp,
     min_total_lp,
     subset_gaps,
+    tree_time_share,
     weighted_objective,
     weighted_slsqp,
     weighted_support_enumeration,
 )
-from seisrate.errors import DecompositionError, InfeasibleProblemError
+from seisrate.errors import (
+    CapacityLimitError,
+    DecompositionError,
+    InfeasibleProblemError,
+)
 from seisrate.model import GatewayState
 from seisrate.delivery import (
     PowerAllocation,
@@ -78,6 +83,48 @@ def assert_exact_schedule(gateways, powers, schedule):
                 for order, lam in schedule.entries)
     q = gateways.queue_rates
     assert np.abs(mixed - q).max() <= 1e-9 * (1.0 + q.sum())
+
+
+MIN_MAX_SIZES = list(range(1, 17)) + [32, 64, 128, 256]
+MIX_SIZES = range(2, 9)
+
+
+def min_max_cases(n):
+    """(gateways, min-max powers): 30 instances per size up to 64 and one
+    above, 542 in all; every third has an empty queue."""
+    rng = np.random.default_rng(2600 + n)
+    for case in range(30 if n <= 64 else 1):
+        q = rng.uniform(0.2, 1.5, n)
+        if n > 1 and case % 3 == 0:
+            q[rng.integers(n)] = 0.0
+        gw = GatewayState(n, q, rng.rayleigh(1.0, n), 1e-3)
+        yield gw, min_max_power(gw)[0].powers
+
+
+def random_mix_cases(n):
+    """(gateways, powers): 150 targets per size, 1050 in all, each a random
+    mix of 1 to n + 2 random decoding orders' corners at random powers."""
+    rng = np.random.default_rng(2700 + n)
+    for case in range(150):
+        gains = rng.rayleigh(1.0, n)
+        powers = rng.uniform(0.01, 0.2, n)
+        probe = GatewayState(n, np.ones(n), gains, 1e-3)
+        orders = [tuple(int(i) for i in rng.permutation(n))
+                  for _ in range(int(rng.integers(1, n + 3)))]
+        shares = rng.dirichlet(np.ones(len(orders)))
+        q = sum(lam * sic_corner(probe, powers, order)
+                for order, lam in zip(orders, shares))
+        yield GatewayState(n, q, gains, 1e-3), powers
+
+
+def assert_matches_tree(gateways, powers):
+    """The same orders in the same sequence as the sub-problem tree, with
+    fractions within 1e-12."""
+    entries = time_share_decompose(gateways, powers).entries
+    tree = tree_time_share(gateways, powers)
+    assert [order for order, _ in entries] == [order for order, _ in tree]
+    assert np.allclose([lam for _, lam in entries], [lam for _, lam in tree],
+                       rtol=0.0, atol=1e-12)
 
 
 class TestMinTotalPower:
@@ -220,6 +267,43 @@ class TestMinMaxPower:
         assert np.all(alloc.powers == 0.0)
 
 
+def _sum_rate_instance(q_sum, cap=None):
+    # four equal gateways at unit gain whose queues add up to q_sum
+    return GatewayState(4, [q_sum / 4] * 4, [1.0] * 4, 1e-3, per_gw_power_cap=cap)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve", [min_total_power_closed_form, min_max_power])
+class TestSnrOutOfFloatRange:
+    # 2^1024 is the first power of two that a float cannot hold; at
+    # N0 = 1 mW the powers there are near 2^1012 W, so a 1e308 W cap
+    # would allow them and a 1 W cap would not
+    def test_just_below_the_float_range_solves(self, solve):
+        for cap in (None, 1e308):
+            gw = _sum_rate_instance(1023.5, cap)
+            powers = solve(gw)[0].powers
+            assert np.isfinite(powers).all() and powers.max() > 1e300
+            gaps, rhs = subset_gaps(gw, powers)
+            assert np.all(gaps >= -1e-9 * rhs)
+
+    def test_just_above_without_a_cap_is_out_of_range(self, solve):
+        with pytest.raises(CapacityLimitError, match="does not fit in a float"):
+            solve(_sum_rate_instance(1024.5))
+
+    def test_just_above_under_a_smaller_cap_is_infeasible(self, solve):
+        with pytest.raises(InfeasibleProblemError, match="per-gateway cap"):
+            solve(_sum_rate_instance(1024.5, cap=1.0))
+
+    def test_just_above_under_a_larger_cap_is_out_of_range(self, solve):
+        # feasible in exact arithmetic, but not in the solver's SNRs
+        with pytest.raises(CapacityLimitError):
+            solve(_sum_rate_instance(1024.5, cap=1e308))
+
+    def test_just_below_under_a_smaller_cap_is_infeasible(self, solve):
+        with pytest.raises(InfeasibleProblemError):
+            solve(_sum_rate_instance(1023.5, cap=1.0))
+
+
 class TestCornerRatesAndOrders:
     def test_last_decoded_is_interference_free(self):
         gw = random_gateways(3, 1)
@@ -303,35 +387,25 @@ class TestTimeShareDecompose:
             )
             assert mixed == pytest.approx(gw.queue_rates, abs=1e-8)
 
-    @pytest.mark.parametrize("n", list(range(1, 17)) + [32, 64])
+    @pytest.mark.parametrize("n", MIN_MAX_SIZES)
     def test_min_max_outputs_decompose(self, n):
-        # 30 instances per size, 540 in all; every third has an empty queue
-        rng = np.random.default_rng(2600 + n)
-        for case in range(30):
-            q = rng.uniform(0.2, 1.5, n)
-            if n > 1 and case % 3 == 0:
-                q[rng.integers(n)] = 0.0
-            gw = GatewayState(n, q, rng.rayleigh(1.0, n), 1e-3)
-            alloc, _ = min_max_power(gw)
-            schedule = time_share_decompose(gw, alloc)
-            assert_exact_schedule(gw, alloc.powers, schedule)
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_mixes_of_random_orders_decompose(self, n):
-        # 150 targets per size, 1050 in all, each a random mix of 1 to
-        # n + 2 random decoding orders' corners at random powers
-        rng = np.random.default_rng(2700 + n)
-        for case in range(150):
-            gains = rng.rayleigh(1.0, n)
-            powers = rng.uniform(0.01, 0.2, n)
-            probe = GatewayState(n, np.ones(n), gains, 1e-3)
-            orders = [tuple(int(i) for i in rng.permutation(n))
-                      for _ in range(int(rng.integers(1, n + 3)))]
-            shares = rng.dirichlet(np.ones(len(orders)))
-            q = sum(lam * sic_corner(probe, powers, order)
-                    for order, lam in zip(orders, shares))
-            gw = GatewayState(n, q, gains, 1e-3)
+        for gw, powers in min_max_cases(n):
             assert_exact_schedule(gw, powers, time_share_decompose(gw, powers))
+
+    @pytest.mark.parametrize("n", MIX_SIZES)
+    def test_mixes_of_random_orders_decompose(self, n):
+        for gw, powers in random_mix_cases(n):
+            assert_exact_schedule(gw, powers, time_share_decompose(gw, powers))
+
+    @pytest.mark.parametrize("n", MIN_MAX_SIZES)
+    def test_min_max_outputs_match_the_tree(self, n):
+        for gw, powers in min_max_cases(n):
+            assert_matches_tree(gw, powers)
+
+    @pytest.mark.parametrize("n", MIX_SIZES)
+    def test_mixes_of_random_orders_match_the_tree(self, n):
+        for gw, powers in random_mix_cases(n):
+            assert_matches_tree(gw, powers)
 
     def test_rates_just_below_a_vertex(self):
         # equal received powers sort a vertex's rates into its own greedy

@@ -10,7 +10,6 @@ from seisrate.errors import InstanceFormatError
 from seisrate.model import (
     ChannelMatrix,
     GatewayState,
-    RngSeed,
     fixture_path,
     generate_gateways,
     generate_rayleigh,
@@ -61,11 +60,6 @@ class TestGenerateRayleigh:
         b = generate_rayleigh(3, 2, 1e-3, 1e-3, 1234)
         assert a == b
         assert np.all(a.gains >= 0)
-
-    def test_rngseed_wrapper_matches_raw_int(self):
-        a = generate_rayleigh(4, 3, 1e-3, 1e-3, RngSeed(77))
-        b = generate_rayleigh(4, 3, 1e-3, 1e-3, 77)
-        assert a == b
 
     def test_minimal_dimensions(self):
         ch = generate_rayleigh(1, 1, 1e-3, 1e-3, 5)

@@ -14,7 +14,6 @@ from seisrate.rates import (
     DecodingAssignment,
     EvaluationMode,
     _active_mask,
-    evaluate,
     evaluate_fixed_order,
     evaluate_fixed_order_batch,
     evaluate_lp,
@@ -225,7 +224,7 @@ class TestAlgorithmContracts:
         assert np.all(np.diff(hist) >= 0)
         assert hist[-1] == pytest.approx(trace.best_sum_rate)
         # the reported winner re-evaluates to the reported value
-        _, total = evaluate(paper_channel, trace.best_assignment, EvaluationMode())
+        _, total = evaluate_fixed_order(paper_channel, trace.best_assignment)
         assert total == pytest.approx(trace.best_sum_rate)
 
     @pytest.mark.parametrize("name", ["dpso", "ampso", "as", "mmas"])

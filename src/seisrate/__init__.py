@@ -36,9 +36,7 @@ from .rates import (
     RateVector,
     evaluate_fixed_order,
     evaluate_lp,
-    link_capacity,
     search_space_size,
-    sic_corner_rates,
 )
 from .search import (
     AcoParams,

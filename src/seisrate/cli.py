@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -110,13 +111,23 @@ def _stage2_instance(args):
     return instance
 
 
+def _milliwatts(*watts):
+    """The powers in mW, as floats; CapacityLimitError when one of them
+    does not fit in a float, which JSON could not carry."""
+    mw = [float(w) * MW_PER_W for w in watts]
+    if not all(map(math.isfinite, mw)):
+        raise CapacityLimitError("a power in mW does not fit in a float")
+    return mw
+
+
 def _cmd_stage2_min_total(args):
     gw = _stage2_instance(args)
     allocation, order = min_total_power_closed_form(gw)
+    *powers_mw, total_mw = _milliwatts(*allocation.powers, allocation.total)
     _emit({
         "problem": "min-total",
-        "powers_mW": [p * MW_PER_W for p in allocation.powers],
-        "total_mW": allocation.total * MW_PER_W,
+        "powers_mW": powers_mw,
+        "total_mW": total_mw,
         "order": [i + 1 for i in order],
     }, args.out)
     return EXIT_OK
@@ -125,12 +136,14 @@ def _cmd_stage2_min_total(args):
 def _cmd_stage2_min_max(args):
     gw = _stage2_instance(args)
     allocation, peak = min_max_power(gw)
+    *powers_mw, total_mw, peak_mw = _milliwatts(*allocation.powers,
+                                                allocation.total, peak)
     schedule = time_share_decompose(gw, allocation)
     _emit({
         "problem": "min-max",
-        "powers_mW": [p * MW_PER_W for p in allocation.powers],
-        "total_mW": allocation.total * MW_PER_W,
-        "peak_mW": peak * MW_PER_W,
+        "powers_mW": powers_mw,
+        "total_mW": total_mw,
+        "peak_mW": peak_mw,
         "schedule": [
             {"order": [i + 1 for i in order], "fraction": lam}
             for order, lam in schedule.entries

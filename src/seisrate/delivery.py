@@ -113,6 +113,14 @@ def _check_snr_fits(gateways, members, q_sum):
         "which does not fit in a float")
 
 
+def _finite(powers):
+    """The powers, checked to fit in a float; a per-gateway cap they exceed
+    has already been reported as infeasible."""
+    if not np.isfinite(powers).all():
+        raise CapacityLimitError("a gateway power does not fit in a float")
+    return powers
+
+
 def descending_gain_order(gateways, active=None):
     """Gateway indices sorted by descending gain, ties to the lower index."""
     n = gateways.num_gws
@@ -155,7 +163,7 @@ def min_total_power_closed_form(gateways):
                 f"gateway {worst} needs {powers[worst]:.6g} W, above the "
                 f"per-gateway cap {cap:.6g} W"
             )
-    return PowerAllocation(powers), order
+    return PowerAllocation(_finite(powers)), order
 
 
 def min_max_power(gateways):
@@ -198,7 +206,7 @@ def min_max_power(gateways):
         raise InfeasibleProblemError(
             f"minimal peak power {peak:.6g} W exceeds the cap {cap:.6g} W"
         )
-    return PowerAllocation(powers), peak
+    return PowerAllocation(_finite(powers)), peak
 
 
 def corner_rates(gateways, powers, order):

@@ -68,6 +68,15 @@ class ChannelMatrix:
         )
 
     @cached_property
+    def squared_gains(self):
+        """(N, K) array whose row i holds gains[:, i] ** 2, gateway i's
+        squared gains in geophone order.  Computed on first use, then
+        kept, read-only like gains."""
+        h2 = np.ascontiguousarray((self.gains ** 2).T)
+        h2.setflags(write=False)
+        return h2
+
+    @cached_property
     def decode_table(self):
         """Per gateway, (order, inverse, h2, ph2): the geophones in
         descending-gain SIC decode order (ties to the lower index), the
@@ -77,7 +86,7 @@ class ChannelMatrix:
         table = []
         for i in range(self.num_gws):
             order = np.argsort(-self.gains[:, i], kind="stable")
-            h2 = self.gains[order, i] ** 2
+            h2 = self.squared_gains[i, order]
             entry = (order, np.argsort(order), h2, self.gp_power * h2)
             for array in entry:
                 array.setflags(write=False)

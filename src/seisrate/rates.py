@@ -131,44 +131,11 @@ def evaluation_mode(evaluator, scenario):
     return EvaluationMode.scenario(scenario, EVALUATORS[evaluator])
 
 
-def link_capacity(signal_power, gain, noise_plus_interference):
-    """Point-to-point capacity log2(1 + S*gain^2 / (N0 + I)) in bps/Hz."""
-    if signal_power < 0 or gain < 0:
-        raise ValueError("signal_power and gain must be nonnegative")
-    if noise_plus_interference <= 0:
-        raise ValueError("noise_plus_interference must be positive")
-    return math.log2(1.0 + signal_power * gain * gain / noise_plus_interference)
-
-
 def _active_mask(flags, policy):
     """Which geophones transmit: all of them, or only those decoded somewhere."""
     if policy == UNDECODED_SILENT:
         return flags.any(axis=-1)
     return np.ones(flags.shape[:-1], dtype=bool)
-
-
-def sic_corner_rates(channel, assignment, gw_index, permutation):
-    """SIC rate bounds at one gateway for the given decoding permutation.
-
-    Returns the bounds in permutation order (first decoded first).  The
-    permutation must be exactly the decoded set of that gateway.
-    """
-    flags = assignment.flags
-    perm = list(permutation)
-    decoded = set(np.nonzero(flags[:, gw_index])[0].tolist())
-    if len(perm) != len(set(perm)) or set(perm) != decoded:
-        raise ValueError("permutation must be a bijection on the decoded set")
-    h2 = channel.gains[:, gw_index] ** 2
-    p, n0 = channel.gp_power, channel.noise_power
-    active = _active_mask(flags, UNDECODED_INTERFERES)
-    # callers needing scenario-2 semantics go through the evaluators
-    undecoded = [m for m in range(channel.num_gps) if m not in decoded]
-    base_int = p * sum(h2[m] for m in undecoded if active[m])
-    out = np.empty(len(perm))
-    for k, j in enumerate(perm):
-        later = p * sum(h2[m] for m in perm[k + 1:])
-        out[k] = math.log2(1.0 + p * h2[j] / (n0 + later + base_int))
-    return out
 
 
 def gateway_bounds(channel, gw_index, decoded, transmitting):
@@ -253,16 +220,15 @@ def _lp_optimum(channel, flags, mode):
     variables = np.flatnonzero(f.any(axis=1))
     if variables.size == 0:
         return rates, 0.0
-    h2 = channel.gains ** 2
     p, n0 = channel.gp_power, channel.noise_power
     active = _active_mask(f, mode.undecoded_gp_policy)
     groups = []
-    for i in range(f.shape[1]):
-        decoded = np.flatnonzero(f[:, i])
+    for column, h2 in zip(f.T, channel.squared_gains):
+        decoded = column.nonzero()[0]
         if decoded.size:
-            noise = n0 + p * float(h2[~f[:, i] & active, i].sum())
+            noise = n0 + p * float(h2[~column & active].sum())
             groups.append((variables.searchsorted(decoded).tolist(),
-                           (p * h2[decoded, i] / noise).tolist()))
+                           (p * h2[decoded] / noise).tolist()))
     x, value = solve_lp(groups)
     rates[variables] = np.maximum(x, 0.0)
     return rates, value

@@ -58,7 +58,7 @@ from .rates import (
 # visits every block; so the cap now guards scenario 2.  Peak RSS is 37-38
 # and 57 MB in either scenario, as memory follows the 2^14-assignment
 # block, not the space.  lp-exact ES solves one LP per assignment: about
-# 16 s for the 2^16 of 8 x 2.  Campaigns run ES whenever the space fits,
+# 14 s for the 2^16 of 8 x 2.  Campaigns run ES whenever the space fits,
 # so the caps also decide which campaigns report mse_vs_es.
 EXHAUSTIVE_CAP = 2 ** 24
 LP_EXHAUSTIVE_CAP = 2 ** 16
@@ -195,6 +195,10 @@ class _Objective:
     each gateway's bounds row, and a move recomputes only the rows whose
     column changed; gateway_bounds gives a (K,) row the bits it has in any
     batch, so the values are batch()'s.  Under lp a move is single().
+
+    Under lp, lp_values maps each assignment already solved in this search
+    (the bytes of its boolean flags) to its sum-rate, so no assignment is
+    solved twice; every evaluation still counts.
     """
 
     def __init__(self, channel, mode, es_values=None):
@@ -209,6 +213,7 @@ class _Objective:
         if es_values is not None and len(es_values) != 1 << d:
             raise ValueError(f"es_values must hold all 2^{d} assignments")
         self.es_values = es_values
+        self.lp_values = {}
         self.place = 1 << np.arange(d - 1, -1, -1, dtype=np.int64)
         self.t0 = time.perf_counter()
 
@@ -226,12 +231,19 @@ class _Objective:
             sums = self.es_values[
                 flags_batch.reshape(len(flags_batch), -1) @ self.place]
         elif self.mode.order_policy == ORDER_LP:
-            sums = np.array([_lp_optimum(self.channel, flags, self.mode)[1]
-                             for flags in flags_batch])
+            sums = np.array([self._lp_value(flags)
+                             for flags in flags_batch.astype(bool)])
         else:
             _, sums = evaluate_fixed_order_batch(self.channel, flags_batch, self.mode)
         self._tally(flags_batch, sums)
         return sums
+
+    def _lp_value(self, flags):
+        key = flags.tobytes()
+        value = self.lp_values.get(key)
+        if value is None:
+            value = self.lp_values[key] = _lp_optimum(self.channel, flags, self.mode)[1]
+        return value
 
     def single(self, flags):
         """Sum-rate of one (K, N) or flat (K*N,) assignment."""
@@ -470,8 +482,9 @@ def exhaustive_search(channel, mode=EvaluationMode()):
     values = np.empty(total) if total <= ES_VALUES_CAP else None
     bounds, order = np.full(len(outer), np.inf), np.arange(len(outer))
     if mode.order_policy == ORDER_LP:
-        objective = _Objective(channel, mode)
-        block_sums = (objective.batch(flags | inner) for flags in outer)
+        # each assignment once, so no _Objective: its memo would keep them all
+        block_sums = (np.array([_lp_optimum(channel, flags, mode)[1]
+                                for flags in block | inner]) for block in outer)
     else:
         silent = mode.undecoded_gp_policy == UNDECODED_SILENT
         table = _pattern_table(channel, inner, silent)

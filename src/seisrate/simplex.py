@@ -33,14 +33,14 @@ from .errors import CapacityLimitError, SeisrateError
 _TOL = 1e-9
 # A call that reaches this cap ends about 1 s in at 217 geophones on 2
 # gateways (one BLAS thread, 2 vCPUs).  6-8 x 2 LPs take about 4 pivots,
-# 40 x 2 decode-all 46, and random assignments of 150 x 2 up to 1300.
+# 40 x 2 decode-all 38-89, and random assignments of 150 x 2 330-570.
 MAX_PIVOTS = 1500
 
 
 def _pivot(tableau, leave, enter):
     """Make column `enter` the unit vector of row `leave`."""
     pivot_row = tableau[leave] / tableau[leave, enter]
-    tableau -= np.outer(tableau[:, enter], pivot_row)
+    tableau -= tableau[:, enter, None] * pivot_row
     tableau[leave] = pivot_row
 
 
@@ -80,13 +80,15 @@ def solve_lp(groups):
     # columns: right-hand side, s (n), y (the singletons, then the cuts);
     # the last row holds the reduced costs of min f @ y and minus its value
     tableau = np.zeros((n + 1, 2 * n + 1))
-    rows = np.arange(n)
-    tableau[rows, 0] = 1.0
-    tableau[rows, rows + 1] = -1.0
-    tableau[rows, rows + n + 1] = 1.0
+    tableau[:n, 0] = 1.0
+    # rows are 2n + 1 long, so row r's s_r and y_r lie r (2n + 2) into
+    # the flat view, plus 1 and n + 1
+    flat = tableau.reshape(-1)
+    flat[1:n * (2 * n + 2):2 * n + 2] = -1.0
+    flat[n + 1:n * (2 * n + 2):2 * n + 2] = 1.0
     tableau[n, 0] = -sum(x0)
     tableau[n, 1:n + 1] = x0
-    basis = np.arange(n + 1, 2 * n + 1)
+    basis = list(range(n + 1, 2 * n + 1))
     pivots = 0
     while True:
         # Bland's rule: the first column with a negative reduced cost
@@ -109,16 +111,19 @@ def solve_lp(groups):
                 f"the exact LP over {n} geophones needs more than "
                 f"{MAX_PIVOTS} simplex pivots")
         enter = int(negative[0]) + 1
+        # the ratio test runs on scalars of the candidate rows, a handful
+        # even in wide LPs: cheaper than numpy calls, the same quotients
         col = tableau[:n, enter]
-        cand = (col > _TOL).nonzero()[0]
-        if cand.size == 0:
+        cand = (col > _TOL).nonzero()[0].tolist()
+        if not cand:
             # an unbounded dual means an infeasible primal, which x = 0 rules out
             raise SeisrateError("simplex found an empty ratio test")
-        ratios = tableau[cand, 0] / col[cand]
-        least = ratios.min()
+        ratios = [tableau[r, 0] / col[r] for r in cand]
+        least = min(ratios)
+        limit = least + _TOL * (1 + abs(least))
         # Bland's tie-break: smallest basis index among minimal ratios
-        ties = cand[ratios <= least + _TOL * (1 + abs(least))]
-        leave = ties[basis[ties].argmin()]
+        leave = min((r for r, ratio in zip(cand, ratios) if ratio <= limit),
+                    key=basis.__getitem__)
         _pivot(tableau, leave, enter)
         basis[leave] = enter
         pivots += 1

@@ -11,13 +11,18 @@ library.
 before its chain of tight sets: a tree of sub-problems recombined
 bottom-up, which the chain must reproduce entry for entry.
 
-For stage 1, `lp_constraint_slacks` and `best_corner_sum` check the two rate
+For stage 1, `link_capacity` and `sic_corner_rates` give a link's capacity
+and one gateway's SIC bounds for any decoding order, as loops over the
+formulas; `lp_constraint_slacks` and `best_corner_sum` check the two rate
 evaluators from first principles, and `brute_force_exhaustive` is the
 exhaustive search the library once ran: every flat flag pattern through
 `evaluate_fixed_order_batch`.  It shares the evaluator on purpose, since
 the pattern-table search must reproduce that evaluator's sums bit for bit.
 `two_gateway_lp` gives the LP's optimum for two gateways without building
-or solving it.
+or solving it.  `reference_solve_lp` is the dual simplex loop that
+`simplex.solve_lp` replaced, all in numpy, and `reference_lp_value` builds
+its groups as `rates._lp_optimum` once did: every LP must get the same x
+and value bits from both.
 """
 
 import itertools
@@ -27,6 +32,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from seisrate.rates import UNDECODED_SILENT, evaluate_fixed_order_batch
+from seisrate.simplex import _TOL, _violated_prefixes
 
 LN2 = math.log(2.0)
 
@@ -328,6 +334,38 @@ def tree_time_share(gateways, powers):
     return [(idle + order, lam) for order, lam in schedules[0]]
 
 
+def link_capacity(signal_power, gain, noise_plus_interference):
+    """Point-to-point capacity log2(1 + S*gain^2 / (N0 + I)) in bps/Hz."""
+    if signal_power < 0 or gain < 0:
+        raise ValueError("signal_power and gain must be nonnegative")
+    if noise_plus_interference <= 0:
+        raise ValueError("noise_plus_interference must be positive")
+    return math.log2(1.0 + signal_power * gain * gain / noise_plus_interference)
+
+
+def sic_corner_rates(channel, assignment, gw_index, permutation):
+    """SIC rate bounds at one gateway for the given decoding permutation,
+    with every geophone the gateway does not decode interfering.
+
+    Returns the bounds in permutation order (first decoded first).  The
+    permutation must be exactly the decoded set of that gateway.
+    """
+    flags = assignment.flags
+    perm = list(permutation)
+    decoded = set(np.nonzero(flags[:, gw_index])[0].tolist())
+    if len(perm) != len(set(perm)) or set(perm) != decoded:
+        raise ValueError("permutation must be a bijection on the decoded set")
+    h2 = channel.gains[:, gw_index] ** 2
+    p, n0 = channel.gp_power, channel.noise_power
+    undecoded = [m for m in range(channel.num_gps) if m not in decoded]
+    base_int = p * sum(h2[m] for m in undecoded)
+    out = np.empty(len(perm))
+    for k, j in enumerate(perm):
+        later = p * sum(h2[m] for m in perm[k + 1:])
+        out[k] = math.log2(1.0 + p * h2[j] / (n0 + later + base_int))
+    return out
+
+
 def _interference(channel, flags, gw, mode):
     """N0 plus the received power of the geophones that gateway gw does
     not decode but that transmit: all of them, or under the silent policy
@@ -430,3 +468,79 @@ def two_gateway_lp(channel, flags, mode):
     values = (np.log2(1.0 + p * at1 / _interference(channel, f, 0, mode))
               + np.log2(1.0 + p * at2 / _interference(channel, f, 1, mode)))
     return float(values.min())
+
+
+def _reference_pivot(tableau, leave, enter):
+    """Make column `enter` the unit vector of row `leave`."""
+    pivot_row = tableau[leave] / tableau[leave, enter]
+    tableau -= np.outer(tableau[:, enter], pivot_row)
+    tableau[leave] = pivot_row
+
+
+def reference_solve_lp(groups):
+    """simplex.solve_lp's (x, sum(x)) from the same dual simplex with the
+    start tableau built by fancy indexing, Bland's ratio test on numpy
+    arrays and np.outer pivots; no pivot cap."""
+    n = 1 + max(max(members) for members, _ in groups)
+    smallest = [math.inf] * n
+    for members, weights in groups:
+        for j, w in zip(members, weights):
+            smallest[j] = min(smallest[j], w)
+    x0 = [math.log2(1.0 + w) for w in smallest]
+
+    tableau = np.zeros((n + 1, 2 * n + 1))
+    rows = np.arange(n)
+    tableau[rows, 0] = 1.0
+    tableau[rows, rows + 1] = -1.0
+    tableau[rows, rows + n + 1] = 1.0
+    tableau[n, 0] = -sum(x0)
+    tableau[n, 1:n + 1] = x0
+    basis = np.arange(n + 1, 2 * n + 1)
+    while True:
+        negative = (tableau[n, 1:] < -_TOL).nonzero()[0]
+        if negative.size == 0:
+            prefixes, slacks = _violated_prefixes(groups,
+                                                  tableau[n, 1:n + 1].tolist())
+            if not prefixes:
+                break
+            a = np.zeros((n, len(prefixes)))
+            for col, prefix in enumerate(prefixes):
+                a[prefix, col] = 1.0
+            cuts = np.empty((n + 1, len(prefixes)))
+            cuts[:n] = -tableau[:n, 1:n + 1] @ a
+            cuts[n] = slacks
+            tableau = np.hstack((tableau, cuts))
+            continue
+        enter = int(negative[0]) + 1
+        col = tableau[:n, enter]
+        cand = (col > _TOL).nonzero()[0]
+        ratios = tableau[cand, 0] / col[cand]
+        least = ratios.min()
+        ties = cand[ratios <= least + _TOL * (1 + abs(least))]
+        leave = ties[basis[ties].argmin()]
+        _reference_pivot(tableau, leave, enter)
+        basis[leave] = enter
+
+    x = tableau[n, 1:n + 1].copy()
+    return x, float(x.sum())
+
+
+def reference_lp_value(channel, flags, mode):
+    """The exact LP's sum-rate at (K, N) flags, its groups built with
+    mixed fancy indexing and solved by reference_solve_lp."""
+    f = flags.astype(bool)
+    variables = np.flatnonzero(f.any(axis=1))
+    if variables.size == 0:
+        return 0.0
+    h2 = channel.gains ** 2
+    p, n0 = channel.gp_power, channel.noise_power
+    active = (f.any(axis=1) if mode.undecoded_gp_policy == UNDECODED_SILENT
+              else np.ones(f.shape[0], dtype=bool))
+    groups = []
+    for i in range(f.shape[1]):
+        decoded = np.flatnonzero(f[:, i])
+        if decoded.size:
+            noise = n0 + p * float(h2[~f[:, i] & active, i].sum())
+            groups.append((variables.searchsorted(decoded).tolist(),
+                           (p * h2[decoded, i] / noise).tolist()))
+    return reference_solve_lp(groups)[1]

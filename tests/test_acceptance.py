@@ -22,7 +22,7 @@ from conftest import (
     random_channel,
     random_gateways,
 )
-from oracles import min_total_lp, lp_constraint_slacks
+from oracles import lp_constraint_slacks, min_total_lp, sic_corner_rates
 from seisrate.delivery import (
     corner_rates,
     max_weighted_sum,
@@ -37,7 +37,6 @@ from seisrate.rates import (
     evaluate_fixed_order,
     evaluate_lp,
     search_space_size,
-    sic_corner_rates,
 )
 from seisrate.search import (
     AcoParams,

@@ -304,6 +304,17 @@ class TestSnrOutOfFloatRange:
             solve(_sum_rate_instance(1023.5, cap=1.0))
 
 
+@pytest.mark.parametrize("solve", [min_total_power_closed_form, min_max_power])
+def test_powers_past_the_float_range(solve):
+    # 2^sum(Q) fits, but N0 (2^sum(Q) - 1) / g^2 overflows to inf: out of
+    # range, unless a per-gateway cap already rules the powers out
+    with np.errstate(over="ignore"):
+        with pytest.raises(CapacityLimitError, match="does not fit in a float"):
+            solve(GatewayState(4, [1.0] * 4, [1e-3] * 4, 1e305))
+        with pytest.raises(InfeasibleProblemError):
+            solve(GatewayState(4, [1.0] * 4, [1e-3] * 4, 1e305, per_gw_power_cap=1.0))
+
+
 class TestCornerRatesAndOrders:
     def test_last_decoded_is_interference_free(self):
         gw = random_gateways(3, 1)

@@ -483,6 +483,20 @@ class TestCli:
         assert len(doc["schedule"]) <= gws
         assert schedule_miss(load_instance(inst), doc) <= 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("problem", ["min-total", "min-max"])
+    def test_stage2_powers_past_the_float_range_exit_capacity(self, tmp_path, capsys,
+                                                              problem):
+        # at N0 = 1e308 mW the powers fit in W, but not in mW: JSON would
+        # carry Infinity, which is not JSON
+        inst = tmp_path / "gw.json"
+        assert main(["gen", "--kind", "gateways", "--gws", "4", "--seed", "1",
+                     "--n0-mw", "1e308", "--out", str(inst)]) == 0
+        capsys.readouterr()
+        assert main(["stage2", problem, "--instance", str(inst)]) == 4
+        captured = capsys.readouterr()
+        assert "does not fit in a float" in captured.err and captured.out == ""
+
     def test_stage2_weighted_sixty_four_gateways(self, tmp_path):
         inst, out = tmp_path / "gw.json", tmp_path / "res.json"
         assert main(["gen", "--kind", "gateways", "--gws", "64", "--seed", "64",

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import random_channel
-from oracles import best_corner_sum, lp_constraint_slacks, two_gateway_lp
+from oracles import (
+    best_corner_sum,
+    link_capacity,
+    lp_constraint_slacks,
+    sic_corner_rates,
+    two_gateway_lp,
+)
 from seisrate import simplex
 from seisrate.errors import CapacityLimitError
 from seisrate.model import ChannelMatrix
@@ -23,9 +29,7 @@ from seisrate.rates import (
     evaluate_fixed_order_batch,
     evaluate_lp,
     gateway_bounds,
-    link_capacity,
     search_space_size,
-    sic_corner_rates,
 )
 
 MODE = EvaluationMode()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_channel
-from oracles import brute_force_exhaustive
+from oracles import brute_force_exhaustive, reference_lp_value
 import seisrate.search
 from seisrate.errors import CapacityLimitError
 from seisrate.rates import (
@@ -14,6 +14,7 @@ from seisrate.rates import (
     DecodingAssignment,
     EvaluationMode,
     _active_mask,
+    _lp_optimum,
     evaluate_fixed_order,
     evaluate_fixed_order_batch,
     evaluate_lp,
@@ -330,6 +331,53 @@ class TestObjectiveUnderLp:
         assert np.array_equal(objective.best_flags, batch[t])
         objective.single(batch[0].ravel())
         assert objective.count == len(batch) + 1
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("name", STOCHASTIC)
+    def test_each_assignment_is_solved_once(self, name, scenario, monkeypatch):
+        # 600 evaluations in a space of 2^8: many repeat an assignment
+        channel = random_channel(4, 2, 40 + scenario)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        budget = SearchBudget(population=10, iterations=60, seed=scenario)
+        solved = []
+
+        def lp_optimum(channel, flags, mode):
+            solved.append(flags.tobytes())
+            return _lp_optimum(channel, flags, mode)
+
+        monkeypatch.setattr(seisrate.search, "_lp_optimum", lp_optimum)
+        trace = run_algorithm(name, channel, budget, mode)
+        assert len(solved) == len(set(solved))
+        assert trace.evaluations >= budget.evaluation_budget > len(solved)
+
+    def test_batch_counts_repeats_and_solves_them_once(self, monkeypatch):
+        channel = random_channel(4, 2, 9)
+        mode = EvaluationMode.scenario(2, ORDER_LP)
+        rows = (np.random.default_rng(9).random((5, 8)) < 0.5).astype(np.int8)
+        batch = rows[[0, 1, 0, 2, 3, 1, 4, 0]]
+        calls = []
+        monkeypatch.setattr(seisrate.search, "_lp_optimum",
+                            lambda *args: calls.append(1) or _lp_optimum(*args))
+        objective = _Objective(channel, mode)
+        sums = objective.batch(batch)
+        again = objective.batch(batch[::-1])
+        assert objective.count == 16 and len(calls) == 5
+        assert sums.tobytes() == again[::-1].tobytes()
+        for flags, value in zip(batch, sums):
+            want = evaluate_lp(channel, DecodingAssignment(flags.reshape(4, 2)), mode)[1]
+            assert _same_bits(value, want)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_exhaustive_values_match_the_reference_loop(self, k, scenario, monkeypatch):
+        # exhaustive search solves each assignment once, outside any memo
+        channel = random_channel(k, 2, 50 + k + scenario)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        monkeypatch.setattr(_Objective, "batch", None)
+        values = exhaustive_search(channel, mode).values
+        want = [reference_lp_value(channel, flags, mode)
+                for flags in _flag_matrices(np.arange(1 << 2 * k), k, 2)]
+        assert values.tobytes() == np.array(want).tobytes()
 
 
 def _same_bits(a, b):

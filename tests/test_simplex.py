@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from oracles import reference_solve_lp
 from seisrate import simplex
 from seisrate.errors import CapacityLimitError
 from seisrate.simplex import solve_lp
@@ -100,6 +101,22 @@ def test_blands_rule_matches_reference_solver(seed):
     # every geophone decoded at every gateway: almost every pivot is
     # degenerate, which is where a rule without Bland's would cycle
     _check_against_reference(_gateway_groups(seed, 1.0))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_same_bits_as_the_reference_loop(seed):
+    # zero weights, duplicate singletons, 1-3 groups, up to 40 variables
+    rng = np.random.default_rng(seed + 2000)
+    n = int(rng.integers(1, 41))
+    groups = _random_groups(rng, n, int(rng.integers(1, 4)), rng.uniform(0.2, 0.9))
+    singles = rng.integers(n, size=3).tolist()
+    for case in (groups, groups + [([j], [float(w)]) for j, w in
+                                   zip(singles, rng.exponential(size=3))],
+                 _gateway_groups(seed, 0.5), _gateway_groups(seed, 1.0)):
+        x, v = solve_lp(case)
+        ref_x, ref_v = reference_solve_lp(case)
+        assert x.tobytes() == ref_x.tobytes()
+        assert np.float64(v).tobytes() == np.float64(ref_v).tobytes()
 
 
 def test_duplicate_singleton_rows_start_from_the_tightest(monkeypatch):

@@ -113,6 +113,13 @@ def _check_snr_fits(gateways, members, q_sum):
         "which does not fit in a float")
 
 
+def _watts(power):
+    """A power for a message: in W, or that it does not fit in a float."""
+    if math.isfinite(power):
+        return f"{power:.6g} W"
+    return "a power that does not fit in a float"
+
+
 def _finite(powers):
     """The powers, checked to fit in a float; a per-gateway cap they exceed
     has already been reported as infeasible."""
@@ -147,20 +154,22 @@ def min_total_power_closed_form(gateways):
     order = descending_gain_order(gateways, active)
     powers = np.zeros(gateways.num_gws)
     suffix_q = 0.0
-    # walk the order backwards: the last-decoded gateway is interference-free
-    for k in range(len(order) - 1, -1, -1):
-        i = order[k]
-        new_suffix = suffix_q + q[i]
-        _check_snr_fits(gateways, active, new_suffix)
-        powers[i] = n0 * (_required_rate_power(new_suffix)
-                          - _required_rate_power(suffix_q)) / g[i] ** 2
-        suffix_q = new_suffix
+    # walk the order backwards: the last-decoded gateway is interference-free;
+    # a power past the float range is inf, reported below
+    with np.errstate(over="ignore"):
+        for k in range(len(order) - 1, -1, -1):
+            i = order[k]
+            new_suffix = suffix_q + q[i]
+            _check_snr_fits(gateways, active, new_suffix)
+            powers[i] = n0 * (_required_rate_power(new_suffix)
+                              - _required_rate_power(suffix_q)) / g[i] ** 2
+            suffix_q = new_suffix
     cap = gateways.per_gw_power_cap
     if cap is not None:
         worst = int(np.argmax(powers))
         if powers[worst] > cap * (1 + 1e-12):
             raise InfeasibleProblemError(
-                f"gateway {worst} needs {powers[worst]:.6g} W, above the "
+                f"gateway {worst} needs {_watts(powers[worst])}, above the "
                 f"per-gateway cap {cap:.6g} W"
             )
     return PowerAllocation(_finite(powers)), order
@@ -192,19 +201,21 @@ def min_max_power(gateways):
             )
     order = np.array(sorted(members, key=lambda i: (-q[i] / g2[i], i)))
     noise = gateways.noise_power
-    while order.size:
-        q_prefix = np.cumsum(q[order])
-        _check_snr_fits(gateways, members, q_prefix[-1])
-        ratios = noise * np.expm1(LN2 * q_prefix) / np.cumsum(g2[order])
-        k = order.size - 1 - int(np.argmax(ratios[::-1]))  # longest maximizer
-        powers[order[:k + 1]] = ratios[k]
-        noise *= math.pow(2.0, q_prefix[k])
-        order = order[k + 1:]
+    # a level past the float range is inf, reported below
+    with np.errstate(over="ignore"):
+        while order.size:
+            q_prefix = np.cumsum(q[order])
+            _check_snr_fits(gateways, members, q_prefix[-1])
+            ratios = noise * np.expm1(LN2 * q_prefix) / np.cumsum(g2[order])
+            k = order.size - 1 - int(np.argmax(ratios[::-1]))  # longest maximizer
+            powers[order[:k + 1]] = ratios[k]
+            noise *= math.pow(2.0, q_prefix[k])
+            order = order[k + 1:]
     peak = float(powers.max())  # the first block's level
     cap = gateways.per_gw_power_cap
     if cap is not None and peak > cap * (1 + 1e-9):
         raise InfeasibleProblemError(
-            f"minimal peak power {peak:.6g} W exceeds the cap {cap:.6g} W"
+            f"the minimal peak power is {_watts(peak)}, above the cap {cap:.6g} W"
         )
     return PowerAllocation(_finite(powers)), peak
 

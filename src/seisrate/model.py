@@ -77,21 +77,23 @@ class ChannelMatrix:
         return h2
 
     @cached_property
+    def decode_arrays(self):
+        """(order, inverse, h2, ph2), four (N, K) arrays whose row i is
+        gateway i's: the geophones in descending-gain SIC decode order
+        (ties to the lower index), the inverse permutation, the squared
+        gains in decode order and gp_power times them.  Computed on first
+        use, then kept, read-only like gains."""
+        order = np.argsort(-self.gains.T, axis=1, kind="stable")
+        h2 = np.take_along_axis(self.squared_gains, order, axis=1)
+        arrays = (order, np.argsort(order, axis=1), h2, self.gp_power * h2)
+        for array in arrays:
+            array.setflags(write=False)
+        return arrays
+
+    @cached_property
     def decode_table(self):
-        """Per gateway, (order, inverse, h2, ph2): the geophones in
-        descending-gain SIC decode order (ties to the lower index), the
-        inverse permutation, the squared gains in decode order and
-        gp_power times them.  Computed on first use, then kept, read-only
-        like gains."""
-        table = []
-        for i in range(self.num_gws):
-            order = np.argsort(-self.gains[:, i], kind="stable")
-            h2 = self.squared_gains[i, order]
-            entry = (order, np.argsort(order), h2, self.gp_power * h2)
-            for array in entry:
-                array.setflags(write=False)
-            table.append(entry)
-        return tuple(table)
+        """Per gateway, its rows of decode_arrays: (order, inverse, h2, ph2)."""
+        return tuple(zip(*self.decode_arrays))
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,10 +21,8 @@ assignments first, visits the blocks best bound first and stops once no
 block left can reach the best value, after a few blocks.  The winner is
 the same lexicographically smallest maximizer as a full enumeration's,
 with the same bits.  Scenario 2 visits every block.  Without es_values, SA
-uses the same fact one move at a time: its state keeps each gateway's
-bounds row, and a one-bit move recomputes only the flipped bit's gateway
-(every gateway when, in scenario 2, the flip switches its geophone on or
-off), so the trace keeps its bits.
+uses the same fact one move at a time: a move recomputes only the bounds
+it changes (_Objective).
 """
 
 from __future__ import annotations
@@ -165,13 +163,13 @@ class SearchTrace:
 class _State(NamedTuple):
     """An SA state: flat boolean flags, their sum-rate and what
     _Objective.flip needs to evaluate a neighbour, the flat index with
-    es_values, or every gateway's bounds row and the transmitting mask
-    under the fixed-order evaluator."""
+    es_values, or the (N, K) bounds of every gateway and the transmitting
+    mask under the fixed-order evaluator."""
 
     flags: np.ndarray
     value: float
     index: int | None = None
-    rows: list | None = None
+    bounds: np.ndarray | None = None
     transmitting: np.ndarray | None = None
 
 
@@ -185,16 +183,20 @@ class _Objective:
 
     es_values, exhaustive search's sum-rates of every assignment on this
     channel and mode (ExhaustiveResult.values), replace the evaluator:
-    batch() and single() read each assignment's value at its flat index.
-    Both evaluators give an assignment's value the same bits in any batch,
-    so the searches see exactly the values they would compute.
+    batch() reads each assignment's value at its flat index.  Both
+    evaluators give an assignment's value the same bits in any batch, so
+    the searches see exactly the values they would compute.
 
-    SA walks by one-bit moves through start() and flip().  With es_values
-    a state keeps its flat index, and a move reads the value at the index
-    with the bit flipped.  Under the fixed-order evaluator a state keeps
-    each gateway's bounds row, and a move recomputes only the rows whose
-    column changed; gateway_bounds gives a (K,) row the bits it has in any
-    batch, so the values are batch()'s.  Under lp a move is single().
+    SA walks by one-bit moves through start() and flip(), one evaluation
+    each.  With es_values a state keeps its flat index, and a move reads
+    the value at the index with the bit flipped.  Under lp a move is
+    batch() on one row.  Under the fixed-order evaluator a state keeps
+    every gateway's bounds as one (N, K) array, filled by one
+    every-gateway gateway_bounds pass.  A move recomputes only the flipped
+    bit's gateway row, or, when in scenario 2 it switches its geophone on
+    or off, every row in one pass; the sum-rate is combine_bounds' of the
+    minimum over gateways.  gateway_bounds gives a row the bits it has in
+    any batch, so the values are batch()'s.
 
     Under lp, lp_values maps each assignment already solved in this search
     (the bytes of its boolean flags) to its sum-rate, so no assignment is
@@ -245,10 +247,6 @@ class _Objective:
             value = self.lp_values[key] = _lp_optimum(self.channel, flags, self.mode)[1]
         return value
 
-    def single(self, flags):
-        """Sum-rate of one (K, N) or flat (K*N,) assignment."""
-        return float(self.batch(flags[None])[0])
-
     def _kept(self, state):
         self.count += 1
         if state.value > self.best_sum:
@@ -256,51 +254,44 @@ class _Objective:
             self.best_flags = state.flags.reshape(self.shape).astype(np.int8)
         return state
 
-    def _with_rows(self, flags, rows, transmitting):
-        first, *others = rows
-        # combine_bounds writes the minimum into the first row
-        _, total = combine_bounds([first.copy(), *others])
-        return self._kept(_State(flags, float(total), None, rows, transmitting))
+    def _with_bounds(self, flags, bounds, transmitting):
+        # one row, the minimum over gateways: combine_bounds only sums it
+        _, total = combine_bounds([np.minimum.reduce(bounds)])
+        return self._kept(_State(flags, float(total), None, bounds, transmitting))
 
     def start(self, flags):
-        """The _State at flat (K*N,) boolean flags, one evaluation."""
+        """The _State at flat (K*N,) boolean flags."""
         if self.es_values is not None:
             index = int(flags @ self.place)
             return self._kept(_State(flags, float(self.es_values[index]), index))
         if self.mode.order_policy == ORDER_LP:
-            return _State(flags, self.single(flags))
+            return _State(flags, float(self.batch(flags[None])[0]))
         f = flags.reshape(self.shape)
         transmitting = _active_mask(f, self.mode.undecoded_gp_policy)
-        return self._with_rows(flags, [
-            gateway_bounds(self.channel, i, f[:, i], transmitting)
-            for i in range(self.shape[1])], transmitting)
+        return self._with_bounds(
+            flags, gateway_bounds(self.channel, None, f.T, transmitting), transmitting)
 
     def flip(self, state, bit):
-        """The _State with flat bit flipped, one evaluation.
-
-        Under the fixed-order evaluator only the flipped bit's gateway gets
-        a new bounds row, or every gateway when, in scenario 2, the flip
-        switches its geophone on or off.
-        """
+        """The _State with flat bit flipped."""
         flags = state.flags.copy()
         flags[bit] = not flags[bit]
         if state.index is not None:
             index = state.index ^ int(self.place[bit])
             return self._kept(_State(flags, float(self.es_values[index]), index))
-        if state.rows is None:
-            return _State(flags, self.single(flags))
+        if state.bounds is None:            # lp: batch() on one row
+            return self.start(flags)
         j, i = divmod(bit, self.shape[1])
         f = flags.reshape(self.shape)
-        rows, transmitting = list(state.rows), state.transmitting
-        gateways = (i,)
+        transmitting = state.transmitting
         if (self.mode.undecoded_gp_policy == UNDECODED_SILENT
-                and f[j].any() != transmitting[j]):
+                and (np.count_nonzero(f[j]) > 0) != transmitting[j]):
             transmitting = transmitting.copy()
             transmitting[j] = not transmitting[j]
-            gateways = range(len(rows))
-        for g in gateways:
-            rows[g] = gateway_bounds(self.channel, g, f[:, g], transmitting)
-        return self._with_rows(flags, rows, transmitting)
+            bounds = gateway_bounds(self.channel, None, f.T, transmitting)
+        else:
+            bounds = state.bounds.copy()
+            bounds[i] = gateway_bounds(self.channel, i, f[:, i], transmitting)
+        return self._with_bounds(flags, bounds, transmitting)
 
     def record(self):
         self.history.append(self.best_sum)

@@ -315,6 +315,19 @@ def test_powers_past_the_float_range(solve):
             solve(GatewayState(4, [1.0] * 4, [1e-3] * 4, 1e305, per_gw_power_cap=1.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cap, error", [
+    (None, CapacityLimitError), (1e-3, InfeasibleProblemError)])
+@pytest.mark.parametrize("solve", [min_total_power_closed_form, min_max_power])
+def test_overflowing_powers_are_reported_without_a_warning(solve, cap, error):
+    # N0 = 1e305 W over g^2 = 1e-6: every power overflows to inf, which
+    # is an error with its own exit code, and no RuntimeWarning on the way
+    gw = GatewayState(4, [1.0, 1.5, 0.6, 1.4], [1e-3] * 4, 1e305, per_gw_power_cap=cap)
+    with pytest.raises(error, match="does not fit in a float") as info:
+        solve(gw)
+    assert "inf W" not in str(info.value)
+
+
 class TestCornerRatesAndOrders:
     def test_last_decoded_is_interference_free(self):
         gw = random_gateways(3, 1)

@@ -456,6 +456,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("problem", ["min-total", "min-max"])
+    @pytest.mark.parametrize("cap_mw, code", [(None, 4), (1.0, 3)])
+    def test_stage2_overflowing_powers_warn_nothing(self, tmp_path, capsys,
+                                                   problem, cap_mw, code):
+        # N0 = 1e308 mW and gains of 1e-3: no power fits in a float, so
+        # exit 4, or 3 under a cap; stderr holds the message and no warning
+        inst = tmp_path / "gw.json"
+        assert main(["gen", "--kind", "gateways", "--gws", "4", "--seed", "1",
+                     "--out", str(inst)]) == 0
+        doc = json.loads(inst.read_text())
+        doc.update({"N0_mW": 1e308, "G": [0.001] * 4})
+        if cap_mw is not None:
+            doc["Pmax_mW"] = cap_mw
+        inst.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["stage2", problem, "--instance", str(inst)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "does not fit in a float" in captured.err
+        assert "Warning" not in captured.err and "inf W" not in captured.err
+
     def test_stage2_min_max_twelve_gateways(self, tmp_path):
         # the 2^N-row epigraph LP once used here ran for minutes at N = 12
         inst, out = tmp_path / "gw.json", tmp_path / "res.json"

@@ -217,6 +217,33 @@ class TestEvaluateFixedOrder:
             assert alone_rates.tobytes() == one_rates.tobytes() == rates[t].tobytes()
             assert alone_sum.tobytes() == one_sum.tobytes() == sums[t:t + 1].tobytes()
 
+    @pytest.mark.parametrize("gains", ["random", "duplicated", "zero"])
+    @pytest.mark.parametrize("k,n", [(1, 1), (1, 4), (9, 1), (8, 2), (12, 3),
+                                     (40, 4), (100, 8)])
+    def test_every_gateway_pass_has_the_bits_of_each_gateway(self, k, n, gains):
+        # gateway_bounds(channel, None, ...) on (N, K) and (B, N, K) decoded
+        # flags against one call per gateway on (K,) and (B, K) rows
+        g = random_channel(k, n, 3 * k + n).gains.copy()
+        if gains == "duplicated":
+            g[1::2] = g[0:k - 1:2]          # pairs of equal geophones
+            g[:, 1::2] = g[:, 0:n - 1:2]    # and of equal gateways
+        elif gains == "zero":
+            g[:] = 0.0
+        channel = ChannelMatrix(k, n, g, 1e-3, 1e-3)
+        rng = np.random.default_rng(k + n)
+        batch = rng.random((20, k, n)) < rng.random((20, 1, 1))
+        for scenario in (1, 2):
+            active = _active_mask(batch, EvaluationMode.scenario(scenario).undecoded_gp_policy)
+            every = gateway_bounds(channel, None, batch.transpose(0, 2, 1), active)
+            assert every.shape == (20, n, k)
+            for i in range(n):
+                each = gateway_bounds(channel, i, batch[:, :, i], active)
+                assert every[:, i].tobytes() == each.tobytes()
+            for t in range(len(batch)):
+                row = gateway_bounds(channel, None, batch[t].T, active[t])
+                assert row.shape == (n, k)
+                assert row.tobytes() == every[t].tobytes()
+
     def test_undecoded_gp_has_zero_rate(self):
         channel = random_channel(4, 2, 11)
         flags = np.ones((4, 2), dtype=np.int8)

@@ -329,7 +329,7 @@ class TestObjectiveUnderLp:
         t = int(np.argmax(sums))
         assert objective.best_sum == sums[t]
         assert np.array_equal(objective.best_flags, batch[t])
-        objective.single(batch[0].ravel())
+        objective.batch(batch[0].ravel()[None])
         assert objective.count == len(batch) + 1
 
     @pytest.mark.parametrize("scenario", [1, 2])
@@ -425,7 +425,7 @@ class TestMovePath:
         self.check(objective, self.walk(objective, moves, scenario))
 
     @pytest.mark.parametrize("scenario", [1, 2])
-    @pytest.mark.parametrize("k,n", [(3, 2), (8, 2), (5, 4), (12, 3)])
+    @pytest.mark.parametrize("k,n", [(3, 2), (8, 2), (5, 4), (12, 3), (100, 8)])
     def test_random_walks(self, k, n, scenario):
         self.check_walk(random_channel(k, n, 40 + k + n + scenario), scenario)
 
@@ -440,6 +440,23 @@ class TestMovePath:
         assert [int(s.transmitting.sum()) for s in states] == [
             0, 1, 2, 2, 3, 3, 3, 2, 1, 1, 0]
         assert states[0].value == states[-1].value == 0.0
+        self.check(objective, states)
+
+    def test_sparse_walk_switches_often(self):
+        # scenario 2 with at most K/2 bits set: at least half the geophones
+        # are off, so most moves switch one on or off
+        k, n = 30, 3
+        objective = _Objective(random_channel(k, n, 12), EvaluationMode.scenario(2))
+        rng = np.random.default_rng(12)
+        states = [objective.start(np.zeros(k * n, bool))]
+        state, switches = states[0], 0
+        for _ in range(300):
+            cand = objective.flip(state, int(rng.integers(k * n)))
+            states.append(cand)
+            switches += not np.array_equal(cand.transmitting, state.transmitting)
+            if cand.flags.sum() <= k // 2:
+                state = cand
+        assert switches >= 150
         self.check(objective, states)
 
     @pytest.mark.parametrize("scenario", [1, 2])
@@ -476,8 +493,8 @@ class TestMovePath:
         states = self.walk(objective, 20, scenario, restart_every=8)
         reference = _Objective(channel, mode)
         for state in states:
-            assert state.rows is None and state.index is None
-            assert _same_bits(state.value, reference.single(state.flags))
+            assert state.bounds is None and state.index is None
+            assert _same_bits(state.value, reference.batch(state.flags[None])[0])
         assert objective.count == reference.count == len(states)
         assert np.array_equal(objective.best_flags, reference.best_flags)
 
@@ -503,16 +520,15 @@ def test_sa_trace_with_es_values_across_restarts(k, n, scenario):
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_traces_match_unmemoized_single(name, scenario, monkeypatch):
     """Every algorithm gives the same trace with SA's moves routed through
-    single(), which evaluates one row with batch() and keeps nothing
-    between calls.  The reference is run here, not stored, since BLAS bits
-    differ between CPUs."""
+    batch() on one row, which keeps nothing between calls.  The reference
+    is run here, not stored, since BLAS bits differ between CPUs."""
     channel = random_channel(8, 2, 60 + scenario)
     mode = EvaluationMode.scenario(scenario)
     budget = SearchBudget(population=10, iterations=60, seed=scenario)
     moved = run_algorithm(name, channel, budget, mode)
 
     def start(self, flags):
-        return _State(flags, self.single(flags))
+        return _State(flags, float(self.batch(flags[None])[0]))
 
     def flip(self, state, bit):
         flags = state.flags.copy()
@@ -694,6 +710,32 @@ def _count_gateway_bounds(monkeypatch):
 
     monkeypatch.setattr(seisrate.search, "gateway_bounds", counted)
     return calls
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_a_move_makes_one_gateway_bounds_call(scenario, monkeypatch):
+    # one every-gateway call to start; a move that switches no geophone
+    # calls for the flipped bit's gateway, one that does (scenario 2) for
+    # every gateway at once
+    calls = _count_gateway_bounds(monkeypatch)
+    k, n = 6, 3
+    objective = _Objective(random_channel(k, n, 4), EvaluationMode.scenario(scenario))
+    rng = np.random.default_rng(scenario)
+    state = objective.start(rng.random(k * n) < 0.3)
+    assert calls == [None]
+    switches = 0
+    for _ in range(300):
+        calls.clear()
+        bit = int(rng.integers(k * n))
+        j, i = divmod(bit, n)
+        cand = objective.flip(state, bit)
+        switched = scenario == 2 and (cand.flags.reshape(k, n)[j].any()
+                                      != state.flags.reshape(k, n)[j].any())
+        assert calls == ([None] if switched else [i])
+        switches += switched
+        if rng.random() < 0.5:
+            state = cand
+    assert (switches > 30) == (scenario == 2)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

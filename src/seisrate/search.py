@@ -16,13 +16,15 @@ rows, with the same bits as evaluate_fixed_order_batch.  Those bits do
 not depend on the batch, so up to ES_VALUES_CAP assignments it keeps
 every value, and a search given them (es_values) reads its values there
 instead of evaluating, with the same trace.  Above that cap it keeps
-only the best; in scenario 1 it then bounds every block of 2^14
-assignments first, visits the blocks best bound first and stops once no
-block left can reach the best value, after a few blocks.  The winner is
-the same lexicographically smallest maximizer as a full enumeration's,
-with the same bits.  Scenario 2 visits every block.  Without es_values, SA
-uses the same fact one move at a time: a move recomputes only the bounds
-it changes (_Objective).
+only the best; it then bounds every block of 2^14 assignments first,
+visits the blocks best bound first and stops once no block left can
+reach the best value.  In scenario 1 that is after a few blocks; in
+scenario 2, where the bound takes the best of each block's transmitting
+sets, after 8-112 of the 1024 blocks of 12 x 2.  At N = 1 the scenario-2
+bound is loose and every block is visited.  The winner is the same
+lexicographically smallest maximizer as a full enumeration's, with the
+same bits.  Without es_values, SA uses the same fact one move at a time:
+a move recomputes only the bounds it changes (_Objective).
 """
 
 from __future__ import annotations
@@ -51,12 +53,13 @@ from .rates import (
 
 # At 2^24 assignments, with one BLAS thread on a 2-vCPU machine,
 # exhaustive_search takes 0.02-0.04 s at 12 x 2 and 0.06-0.08 s at 24 x 1
-# in scenario 1, where the block bound stops it after a few blocks, but
-# 2.8-3.7 s at 12 x 2 and 27-32 s at 24 x 1 in scenario 2, where it
-# visits every block; so the cap now guards scenario 2.  Peak RSS is 37-38
-# and 57 MB in either scenario, as memory follows the 2^14-assignment
-# block, not the space.  lp-exact ES solves one LP per assignment: about
-# 14 s for the 2^16 of 8 x 2.  Campaigns run ES whenever the space fits,
+# in scenario 1 and 0.07-0.45 s at 12 x 2 in scenario 2, where the block
+# bound stops it after a few blocks, but 21-24 s at 24 x 1 in scenario 2,
+# where the bound is loose and it visits every block; so the cap now
+# guards scenario 2 at N = 1.  Peak RSS is 37-39 and 57-58 MB in either
+# scenario, as memory follows the 2^14-assignment block, not the space.
+# lp-exact ES solves one LP per assignment: about 14 s for the 2^16 of
+# 8 x 2.  Campaigns run ES whenever the space fits,
 # so the caps also decide which campaigns report mse_vs_es.
 EXHAUSTIVE_CAP = 2 ** 24
 LP_EXHAUSTIVE_CAP = 2 ** 16
@@ -66,6 +69,14 @@ LP_EXHAUSTIVE_CAP = 2 ** 16
 # them to the metaheuristics on that channel, which then look their
 # values up instead of evaluating; larger spaces keep only the best.
 ES_VALUES_CAP = 2 ** 16
+
+# exhaustive_search's inner block: the low 14 bits of the flat index
+BLOCK_BITS = 14
+
+# _block_bounds works through its blocks in chunks of at most this many
+# rows of K rates: the chunk stays in cache and below the pattern tables'
+# memory, so the bound adds nothing to a search's peak
+_BOUND_ROWS = 1 << 12
 
 HEURISTIC_NONE = "none"
 HEURISTIC_GW_AVERAGE = "gw-average"
@@ -373,35 +384,81 @@ def _table_sums(channel, table, outer, silent):
         yield sums
 
 
-def _block_bounds(channel, outer, fixed):
-    """(B,) upper bounds on the scenario-1 sum-rate of every assignment in
-    each outer block, from its (B, K, N) outer flags; fixed (K, N) marks
-    the outer bits.
+def _block_bounds(channel, outer, fixed, silent):
+    """(B,) upper bounds on the sum-rate of every assignment in each outer
+    block, from its (B, K, N) outer flags; fixed (K, N) marks the outer
+    bits, silent is scenario 2.
 
-    In scenario 1 every geophone transmits, so in every assignment of a
-    block geophone j decoded at gateway i hears at least the geophones
-    that cannot be decoded before j there: they follow j in i's decoding
-    order, or their bit at i is fixed to 0.  Less interference only raises
-    the SIC bound, so u_ij, the bound under that interference, bounds j's
-    rate at i.  j's rate is then at most the least u_ij over the gateways
-    fixed to decode it, else the largest over its free gateways, else 0.
+    Let T be the geophones that transmit.  In every assignment of a block
+    with transmitting set T, geophone j decoded at gateway i hears at
+    least the geophones of T that cannot be decoded before j there: they
+    follow j in i's decoding order, or their bit at i is fixed to 0.  Less
+    interference only raises the SIC bound, so u_ij(T), the bound under
+    that interference, bounds j's rate at i.  j's rate is then at most the
+    least u_ij(T) over the gateways fixed to decode it, else the largest
+    over its free gateways, and the block's sum-rate at most the largest
+    over T of the sum over j in T.
 
-    Scenario 2 has no such bound here: counting only the geophones with an
-    outer bit set as sure to transmit left 50-100% of the blocks to visit,
-    depending on the channel, so its search time varied with the channel
-    for a small mean gain.
+    In scenario 1, T is every geophone.  In scenario 2 a geophone with an
+    outer bit set is on, one whose bits are all outer and 0 is off, and T
+    ranges over the subsets of the others, the free ones: up to 2^7 sets,
+    all of them at N >= 2.  At N = 1 the free geophones past the first 7
+    are relaxed: they interfere with no one and count their rate among the
+    sure transmitters alone.  That bound is loose, so every 24 x 1 block is
+    still visited.
     """
-    p, n0 = channel.gp_power, channel.noise_power
-    zero = fixed & ~outer
-    u = np.empty(outer.shape)
-    for i, (order, _, h2, ph2) in enumerate(channel.decode_table):
-        blocked = h2 * zero[:, order, i]
-        interference = (np.cumsum(h2[::-1])[::-1] - h2
-                        + np.cumsum(blocked, axis=1) - blocked)
-        u[:, order, i] = np.log2(1.0 + ph2 / (n0 + p * interference))
-    capped = np.where(outer, u, np.inf).min(axis=2)
-    rates = np.where(np.isinf(capped), np.where(fixed, 0.0, u).max(axis=2), capped)
-    return rates.sum(axis=1)
+    if silent:
+        on = outer.any(axis=2)
+        free = np.flatnonzero(~fixed.all(axis=1))
+    else:
+        on, free = np.ones(outer.shape[:2], bool), np.empty(0, int)
+    enumerated, relaxed = free[:BLOCK_BITS // 2], free[BLOCK_BITS // 2:]
+    subsets = np.zeros((1 << len(enumerated), channel.num_gps), bool)
+    subsets[:, enumerated] = (np.arange(len(subsets))[:, None]
+                              >> np.arange(len(enumerated))) & 1
+    # T's interference is the sure transmitters' (per block) plus the
+    # subset's (per subset: a free geophone's outer bits are all 0); a
+    # subset that holds a sure transmitter counts it twice, which only
+    # lowers that subset's sum.  Gateways lead every axis, so the min and
+    # max over them run elementwise; cap is inf where the gateway is not
+    # fixed to decode the geophone.
+    p = channel.gp_power
+    noise = channel.noise_power + p * _interference(channel, on, fixed & ~outer)
+    extra = p * _interference(channel, subsets, fixed)
+    ph2 = (p * channel.squared_gains)[:, None, None]
+    cap = np.where(outer, 0.0, np.inf).transpose(2, 0, 1)[:, :, None]
+    unfixed = ~fixed.T[:, None, None]
+    step = max(1, _BOUND_ROWS // (len(subsets) * channel.num_gws))
+    bounds = np.empty(len(outer))
+    for start in range(0, len(outer), step):
+        block = slice(start, start + step)
+        u = noise[:, block, None] + extra[:, None]          # (N, b, S, K)
+        np.divide(ph2, u, out=u)
+        np.log2(np.add(u, 1.0, out=u), out=u)
+        best_free = np.maximum.reduce(u * unfixed)
+        capped = np.minimum.reduce(np.add(u, cap[:, block], out=u))
+        rates = np.where(np.isinf(capped), best_free, capped)
+        transmitting = on[block, None] | subsets
+        # subset 0 is empty, so there a relaxed geophone hears the sure
+        # transmitters alone; its rate counts unless it is one of them
+        spare = np.where(on[block][:, relaxed], 0.0, rates[:, 0, relaxed])
+        bounds[block] = ((rates * transmitting).sum(axis=2).max(axis=1)
+                         + spare.sum(axis=1))
+    return bounds
+
+
+def _interference(channel, transmitting, zero):
+    """(N, ..., K): at each gateway i, the summed squared gains of the
+    transmitting (..., K) geophones that cannot be decoded before geophone
+    j there, as they follow j in i's decoding order or zero (..., K, N)
+    marks their bit at i as fixed to 0."""
+    out = np.empty((channel.num_gws, *transmitting.shape))
+    for i, (order, _, h2, _) in enumerate(channel.decode_table):
+        w = transmitting[..., order] * h2
+        blocked = w * zero[..., order, i]
+        out[i][..., order] = (np.cumsum(w[..., ::-1], axis=-1)[..., ::-1] - w
+                              + np.cumsum(blocked, axis=-1) - blocked)
+    return out
 
 
 def exhaustive_refusal(channel, mode):
@@ -449,25 +506,24 @@ def exhaustive_search(channel, mode=EvaluationMode()):
     same order.
 
     When the values are not kept (more than ES_VALUES_CAP assignments),
-    the fixed-order search in scenario 1 is a branch and bound one level
-    deep (Land and Doig, 1960): _block_bounds gives each outer block an
-    upper bound, the blocks are visited in descending bound order (ties
-    by block index), and the search stops at the first block whose
-    bound * (1 + 1e-9) is below the best value, as no value in it or in a
-    later block can reach the best; the slack covers a bound and a rate
-    that add the same powers in another order.  A block's maximizer
-    replaces the best when it is larger, or equal with a smaller flat
-    index, so the winner is still the lexicographically smallest
-    maximizer, with the same value bits.
-    Scenario 2 visits every block in index order, so its search time does
-    not depend on the channel.
+    the fixed-order search is a branch and bound one level deep (Land and
+    Doig, 1960): _block_bounds gives each outer block an upper bound, the
+    blocks are visited in descending bound order (ties by block index),
+    and the search stops at the first block whose bound * (1 + 1e-9) is
+    below the best value, as no value in it or in a later block can reach
+    the best; the slack covers a bound and a rate that add the same powers
+    in another order.  A block's maximizer replaces the best when it is
+    larger, or equal with a smaller flat index, so the winner is still the
+    lexicographically smallest maximizer, with the same value bits.  In
+    scenario 2 the bound takes the best of the block's transmitting sets;
+    at N = 1 it is loose, and every block is still visited.
     """
     refusal = exhaustive_refusal(channel, mode)
     if refusal:
         raise CapacityLimitError(refusal)
     k, n = channel.num_gps, channel.num_gws
     total = search_space_size(k, n)
-    inner_bits = min(k * n, 14)
+    inner_bits = min(k * n, BLOCK_BITS)
     inner = _flag_matrices(np.arange(1 << inner_bits), k, n)
     outer = _flag_matrices(np.arange(total >> inner_bits) << inner_bits, k, n)
     values = np.empty(total) if total <= ES_VALUES_CAP else None
@@ -479,9 +535,9 @@ def exhaustive_search(channel, mode=EvaluationMode()):
     else:
         silent = mode.undecoded_gp_policy == UNDECODED_SILENT
         table = _pattern_table(channel, inner, silent)
-        if values is None and not silent:
+        if values is None:
             fixed = (np.arange(k * n) < k * n - inner_bits).reshape(k, n)
-            bounds = _block_bounds(channel, outer, fixed)
+            bounds = _block_bounds(channel, outer, fixed, silent)
             order = np.argsort(-bounds, kind="stable")
         block_sums = _table_sums(channel, table, outer[order], silent)
     best_sum, best_block, best_flags = -np.inf, None, None

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_channel
@@ -587,10 +587,11 @@ class TestConvergenceSmoke:
 # geophone's flags between the two blocks.
 ORACLE_SHAPES = [(k, n) for n in range(1, 6) for k in range(1, 11) if k * n <= 16]
 
-# above ES_VALUES_CAP the search in scenario 1 visits its outer blocks
-# best bound first and stops at the first that cannot win, and scenario 2
-# visits every block; 6 x 3 and 3 x 6 split a geophone's flags between
-# outer and inner bits, 17 x 1 keeps 3 outer bits
+# above ES_VALUES_CAP the search visits its outer blocks best bound first
+# and stops at the first that cannot win, in both scenarios; 6 x 3 and
+# 3 x 6 split a geophone's flags between outer and inner bits, and 17 x 1
+# keeps 3 outer bits and relaxes all but 7 of its 14 free geophones in the
+# scenario-2 bound
 PRUNED_SHAPES = [(9, 2), (6, 3), (17, 1), (3, 6)]
 
 
@@ -662,21 +663,24 @@ class TestExhaustiveAgainstBruteForce:
         # bounds rising with the block index: every block is visited, the
         # last first, and equal maxima lie in several blocks
         monkeypatch.setattr(seisrate.search, "_block_bounds",
-                            lambda channel, outer, fixed:
+                            lambda channel, outer, fixed, silent:
                             1e3 + np.arange(len(outer)))
         gains = random_channel(9, 2, 7).gains.copy()
         gains[1::2] = gains[0::2][:4]
-        self.check(ChannelMatrix(9, 2, gains, 1e-3, 1e-3), 1)
-        channel = ChannelMatrix(9, 2, np.zeros((9, 2)), 1e-3, 1e-3)
-        assert not self.check(channel, 1).any()
+        for scenario in (1, 2):
+            self.check(ChannelMatrix(9, 2, gains, 1e-3, 1e-3), scenario)
+            channel = ChannelMatrix(9, 2, np.zeros((9, 2)), 1e-3, 1e-3)
+            assert not self.check(channel, scenario).any()
 
 
 @st.composite
 def tied_channels(draw):
-    """A channel of at most 2^10 assignments whose gains repeat a few
+    """A channel of at most 2^15 assignments whose gains repeat a few
     values, zero among them, and a split of its flat index into outer and
-    inner bits."""
-    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    inner bits.  One gateway takes up to 10 geophones, so that more than 7
+    can be free in a block."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 10 if n == 1 else 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     pool = np.append(rng.rayleigh(1.0, draw(st.integers(1, 3))), 0.0)
     gains = rng.choice(pool, size=(k, n))
@@ -686,18 +690,24 @@ def tied_channels(draw):
 class TestBlockBounds:
     @given(tied_channels())
     @settings(max_examples=150, deadline=None)
+    # one gateway and 9-10 free geophones: the scenario-2 bound relaxes
+    # all but 7 of them
+    @example((random_channel(10, 1, 5), 10))
+    @example((random_channel(9, 1, 6), 9))
     def test_no_block_beats_its_bound(self, case):
         # within the slack that exhaustive_search prunes with: a bound and
         # the rate it caps may sum the same powers in another order
         channel, inner_bits = case
-        mode = EvaluationMode.scenario(1)
         k, n = channel.num_gps, channel.num_gws
         every = _flag_matrices(np.arange(1 << (k * n)), k, n)
-        _, sums = evaluate_fixed_order_batch(channel, every, mode)
-        tops = sums.reshape(-1, 1 << inner_bits).max(axis=1)
         fixed = (np.arange(k * n) < k * n - inner_bits).reshape(k, n)
-        bounds = _block_bounds(channel, every[::1 << inner_bits], fixed)
-        assert np.all(bounds * (1 + 1e-9) >= tops)
+        for scenario in (1, 2):
+            _, sums = evaluate_fixed_order_batch(
+                channel, every, EvaluationMode.scenario(scenario))
+            tops = sums.reshape(-1, 1 << inner_bits).max(axis=1)
+            bounds = _block_bounds(channel, every[::1 << inner_bits], fixed,
+                                   scenario == 2)
+            assert np.all(bounds * (1 + 1e-9) >= tops), scenario
 
 
 def _count_gateway_bounds(monkeypatch):
@@ -751,9 +761,36 @@ def test_pruning_visits_few_blocks_at_24_by_1(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_scenario_2_visits_every_block(seed, monkeypatch):
-    # 2^18 assignments in 16 blocks of 2^14, 2 gateways: the same work on
-    # every channel
+def test_scenario_2_prunes_blocks_at_9_by_2(seed, monkeypatch):
+    # 2^18 assignments in 16 blocks of 2^14, 2 gateways: the best of each
+    # block's transmitting sets leaves blocks unvisited
     calls = _count_gateway_bounds(monkeypatch)
     exhaustive_search(random_channel(9, 2, seed), EvaluationMode.scenario(2))
-    assert len(calls) == 16 * 2
+    assert len(calls) < 16 * 2
+
+
+def test_scenario_2_visits_few_blocks_at_12_by_2(monkeypatch):
+    # 2^24 assignments in 1024 blocks, the channel of `seisrate gen --gps 12
+    # --gws 2 --seed 1`
+    calls = _count_gateway_bounds(monkeypatch)
+    channel = random_channel(12, 2, 1)
+    mode = EvaluationMode.scenario(2)
+    assignment, best = exhaustive_search(channel, mode)
+    assert len(calls) <= 64 * 2
+    assert _same_bits(best, evaluate_fixed_order(channel, assignment, mode)[1])
+
+
+@pytest.mark.parametrize("k", [17, 18])
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_one_gateway_decodes_all(k, scenario):
+    # with one gateway the SIC bounds of decode-all telescope to the sum
+    # capacity log2(1 + P sum(h^2) / N0), which no other assignment reaches;
+    # the scenario-2 bound is loose at N = 1, so it visits every block
+    channel = random_channel(k, 1, k)
+    mode = EvaluationMode.scenario(scenario)
+    assignment, best = exhaustive_search(channel, mode)
+    assert assignment == DecodingAssignment.all_ones(k, 1)
+    assert _same_bits(best, evaluate_fixed_order(channel, assignment, mode)[1])
+    capacity = math.log2(1 + channel.gp_power * float(np.sum(channel.gains ** 2))
+                         / channel.noise_power)
+    assert abs(best - capacity) <= 1e-12

@@ -16,12 +16,9 @@ rows, with the same bits as evaluate_fixed_order_batch.  Those bits do
 not depend on the batch, so up to ES_VALUES_CAP assignments it keeps
 every value, and a search given them (es_values) reads its values there
 instead of evaluating, with the same trace.  Above that cap it keeps
-only the best; it then bounds every block of 2^14 assignments first,
-visits the blocks best bound first and stops once no block left can
-reach the best value.  In scenario 1 that is after a few blocks; in
-scenario 2, where the bound takes the best of each block's transmitting
-sets, after 8-112 of the 1024 blocks of 12 x 2.  At N = 1 the scenario-2
-bound is loose and every block is visited.  The winner is the same
+only the best; it then bounds every block of 2^14 assignments first
+(_block_bounds), visits the blocks best bound first and stops once no
+block left can reach the best value.  The winner is the same
 lexicographically smallest maximizer as a full enumeration's, with the
 same bits.  Without es_values, SA uses the same fact one move at a time:
 a move recomputes only the bounds it changes (_Objective).
@@ -52,12 +49,13 @@ from .rates import (
 )
 
 # At 2^24 assignments, with one BLAS thread on a 2-vCPU machine,
-# exhaustive_search takes 0.02-0.04 s at 12 x 2 and 0.06-0.08 s at 24 x 1
-# in scenario 1 and 0.07-0.45 s at 12 x 2 in scenario 2, where the block
-# bound stops it after a few blocks, but 21-24 s at 24 x 1 in scenario 2,
-# where the bound is loose and it visits every block; so the cap now
-# guards scenario 2 at N = 1.  Peak RSS is 37-39 and 57-58 MB in either
-# scenario, as memory follows the 2^14-assignment block, not the space.
+# exhaustive_search takes 0.01-0.63 s at 12 x 2, 8 x 3, 6 x 4, 4 x 6,
+# 3 x 8, 2 x 12 and 24 x 1 in either scenario (seeds 1-3): the block bound
+# stops it after 1-443 of the 1024 blocks, and after one at 24 x 1.  Peak
+# RSS is 38-39 MB, 58 MB at 24 x 1, as memory follows the 2^14-assignment
+# block, not the space.  The cap bounds the case where the bound prunes
+# nothing: visiting every block takes 0.9-2.8 s at 12 x 2 and 28 s at
+# 24 x 1 in scenario 2.
 # lp-exact ES solves one LP per assignment: about 14 s for the 2^16 of
 # 8 x 2.  Campaigns run ES whenever the space fits,
 # so the caps also decide which campaigns report mse_vs_es.
@@ -401,21 +399,22 @@ def _block_bounds(channel, outer, fixed, silent):
 
     In scenario 1, T is every geophone.  In scenario 2 a geophone with an
     outer bit set is on, one whose bits are all outer and 0 is off, and T
-    ranges over the subsets of the others, the free ones: up to 2^7 sets,
-    all of them at N >= 2.  At N = 1 the free geophones past the first 7
-    are relaxed: they interfere with no one and count their rate among the
-    sure transmitters alone.  That bound is loose, so every 24 x 1 block is
-    still visited.
+    ranges over the subsets of the others, the free ones: at N >= 2 the
+    2^14-assignment blocks of exhaustive_search leave at most ceil(14 / N)
+    <= 7 of them, so at most 2^7 sets.  At N = 1 no off geophone
+    interferes, so the bounds of T telescope to the sum capacity
+    log2(1 + P h^2(T) / N0), which grows with T: T is every geophone not
+    off, and the bound is the block's maximum, reached by decoding every
+    free geophone.
     """
-    if silent:
-        on = outer.any(axis=2)
-        free = np.flatnonzero(~fixed.all(axis=1))
-    else:
+    if not silent:
         on, free = np.ones(outer.shape[:2], bool), np.empty(0, int)
-    enumerated, relaxed = free[:BLOCK_BITS // 2], free[BLOCK_BITS // 2:]
-    subsets = np.zeros((1 << len(enumerated), channel.num_gps), bool)
-    subsets[:, enumerated] = (np.arange(len(subsets))[:, None]
-                              >> np.arange(len(enumerated))) & 1
+    elif channel.num_gws == 1:
+        on, free = outer.any(axis=2) | ~fixed.all(axis=1), np.empty(0, int)
+    else:
+        on, free = outer.any(axis=2), np.flatnonzero(~fixed.all(axis=1))
+    subsets = np.zeros((1 << len(free), channel.num_gps), bool)
+    subsets[:, free] = (np.arange(len(subsets))[:, None] >> np.arange(len(free))) & 1
     # T's interference is the sure transmitters' (per block) plus the
     # subset's (per subset: a free geophone's outer bits are all 0); a
     # subset that holds a sure transmitter counts it twice, which only
@@ -439,11 +438,7 @@ def _block_bounds(channel, outer, fixed, silent):
         capped = np.minimum.reduce(np.add(u, cap[:, block], out=u))
         rates = np.where(np.isinf(capped), best_free, capped)
         transmitting = on[block, None] | subsets
-        # subset 0 is empty, so there a relaxed geophone hears the sure
-        # transmitters alone; its rate counts unless it is one of them
-        spare = np.where(on[block][:, relaxed], 0.0, rates[:, 0, relaxed])
-        bounds[block] = ((rates * transmitting).sum(axis=2).max(axis=1)
-                         + spare.sum(axis=1))
+        bounds[block] = (rates * transmitting).sum(axis=2).max(axis=1)
     return bounds
 
 
@@ -510,13 +505,12 @@ def exhaustive_search(channel, mode=EvaluationMode()):
     Doig, 1960): _block_bounds gives each outer block an upper bound, the
     blocks are visited in descending bound order (ties by block index),
     and the search stops at the first block whose bound * (1 + 1e-9) is
-    below the best value, as no value in it or in a later block can reach
-    the best; the slack covers a bound and a rate that add the same powers
-    in another order.  A block's maximizer replaces the best when it is
-    larger, or equal with a smaller flat index, so the winner is still the
-    lexicographically smallest maximizer, with the same value bits.  In
-    scenario 2 the bound takes the best of the block's transmitting sets;
-    at N = 1 it is loose, and every block is still visited.
+    below the best value, before computing its sums, as no value in it or
+    in a later block can reach the best; the slack covers a bound and a
+    rate that add the same powers in another order.  A block's maximizer
+    replaces the best when it is larger, or equal with a smaller flat
+    index, so the winner is still the lexicographically smallest
+    maximizer, with the same value bits.
     """
     refusal = exhaustive_refusal(channel, mode)
     if refusal:
@@ -541,9 +535,10 @@ def exhaustive_search(channel, mode=EvaluationMode()):
             order = np.argsort(-bounds, kind="stable")
         block_sums = _table_sums(channel, table, outer[order], silent)
     best_sum, best_block, best_flags = -np.inf, None, None
-    for block, sums in zip(order, block_sums):
+    for block in order:
         if bounds[block] * (1 + 1e-9) < best_sum:
             break
+        sums = next(block_sums)
         if values is not None:
             values[block << inner_bits:(block + 1) << inner_bits] = sums
         t = int(np.argmax(sums))

@@ -590,8 +590,8 @@ ORACLE_SHAPES = [(k, n) for n in range(1, 6) for k in range(1, 11) if k * n <= 1
 # above ES_VALUES_CAP the search visits its outer blocks best bound first
 # and stops at the first that cannot win, in both scenarios; 6 x 3 and
 # 3 x 6 split a geophone's flags between outer and inner bits, and 17 x 1
-# keeps 3 outer bits and relaxes all but 7 of its 14 free geophones in the
-# scenario-2 bound
+# keeps 3 outer bits and puts all 14 of its free geophones in the
+# scenario-2 bound's transmitting set
 PRUNED_SHAPES = [(9, 2), (6, 3), (17, 1), (3, 6)]
 
 
@@ -690,8 +690,8 @@ def tied_channels(draw):
 class TestBlockBounds:
     @given(tied_channels())
     @settings(max_examples=150, deadline=None)
-    # one gateway and 9-10 free geophones: the scenario-2 bound relaxes
-    # all but 7 of them
+    # one gateway and 9-10 free geophones, every bit inner: the scenario-2
+    # bound puts them all in the transmitting set and is exact
     @example((random_channel(10, 1, 5), 10))
     @example((random_channel(9, 1, 6), 9))
     def test_no_block_beats_its_bound(self, case):
@@ -708,6 +708,9 @@ class TestBlockBounds:
             bounds = _block_bounds(channel, every[::1 << inner_bits], fixed,
                                    scenario == 2)
             assert np.all(bounds * (1 + 1e-9) >= tops), scenario
+            if scenario == 2 and n == 1:
+                # one gateway: the bound is each block's best value
+                np.testing.assert_allclose(bounds, tops, rtol=1e-12, atol=0)
 
 
 def _count_gateway_bounds(monkeypatch):
@@ -780,15 +783,18 @@ def test_scenario_2_visits_few_blocks_at_12_by_2(monkeypatch):
     assert _same_bits(best, evaluate_fixed_order(channel, assignment, mode)[1])
 
 
-@pytest.mark.parametrize("k", [17, 18])
+@pytest.mark.parametrize("k", [17, 18, 24])
 @pytest.mark.parametrize("scenario", [1, 2])
-def test_one_gateway_decodes_all(k, scenario):
+def test_one_gateway_decodes_all(k, scenario, monkeypatch):
     # with one gateway the SIC bounds of decode-all telescope to the sum
     # capacity log2(1 + P sum(h^2) / N0), which no other assignment reaches;
-    # the scenario-2 bound is loose at N = 1, so it visits every block
+    # the block holding decode-all has the top bound and is the only one
+    # computed, in 2^24 assignments too
+    calls = _count_gateway_bounds(monkeypatch)
     channel = random_channel(k, 1, k)
     mode = EvaluationMode.scenario(scenario)
     assignment, best = exhaustive_search(channel, mode)
+    assert len(calls) == 1
     assert assignment == DecodingAssignment.all_ones(k, 1)
     assert _same_bits(best, evaluate_fixed_order(channel, assignment, mode)[1])
     capacity = math.log2(1 + channel.gp_power * float(np.sum(channel.gains ** 2))

@@ -7,10 +7,15 @@ Two evaluators are provided for a decoding assignment:
   gateways that decode it.  Polynomial cost, used by the metaheuristics.
 * evaluate_lp: the exact optimum of the sum-rate over the intersection of
   the per-gateway MAC polytopes (one constraint per nonempty subset of
-  each decoded set).  simplex.solve_lp generates only the violated
-  constraints, each a prefix of a decoded set sorted by rate over
-  received power, so no exponential row set is built; used as the
-  reference.
+  each decoded set), with its rate vector.  simplex.solve_lp generates
+  only the violated constraints, each a prefix of a decoded set sorted by
+  rate over received power, so no exponential row set is built; used as
+  the reference.
+
+The exact LP's value has a second path: _lp_sum_rate, which the searches
+call, since they need no rate vector.  Up to two gateways it is closed
+form, one sort of the geophones decoded at both (polymatroid
+intersection); past two it is the simplex's value.
 
 The undecoded-geophone policy distinguishes the two operating scenarios:
 "interferes" (every geophone always transmits) and "silent" (a geophone
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -220,32 +226,74 @@ def evaluate_fixed_order(channel, assignment, mode=EvaluationMode()):
     return RateVector(rates[0]), float(sums[0])
 
 
+def _gateway_weights(channel, f, mode):
+    """Per gateway, the (K,) weights of its SIC rate polymatroid,
+    P h^2 / (N0 + the received power of the geophones that transmit but
+    are not decoded there), for a (K, N) boolean flag matrix f."""
+    p, n0 = channel.gp_power, channel.noise_power
+    active = _active_mask(f, mode.undecoded_gp_policy)
+    return [p * h2 / (n0 + p * float(h2[~column & active].sum()))
+            for column, h2 in zip(f.T, channel.squared_gains)]
+
+
 def _lp_optimum(channel, flags, mode):
     """(rates, sum_rate) at the optimum of the exact LP for a (K, N) 0/1
     flag matrix; rates is a plain (K,) array.
 
     The variables are the geophones decoded somewhere, and each gateway
-    that decodes any is one group of solve_lp: its decoded geophones,
-    weighted by P h^2 / (N0 + the received power of the geophones that
-    transmit but are not decoded there).
+    that decodes any is one group of solve_lp: its decoded geophones with
+    their _gateway_weights.
     """
     f = flags.astype(bool)
     rates = np.zeros(channel.num_gps)
     variables = np.flatnonzero(f.any(axis=1))
     if variables.size == 0:
         return rates, 0.0
-    p, n0 = channel.gp_power, channel.noise_power
-    active = _active_mask(f, mode.undecoded_gp_policy)
     groups = []
-    for column, h2 in zip(f.T, channel.squared_gains):
+    for column, w in zip(f.T, _gateway_weights(channel, f, mode)):
         decoded = column.nonzero()[0]
         if decoded.size:
-            noise = n0 + p * float(h2[~column & active].sum())
             groups.append((variables.searchsorted(decoded).tolist(),
-                           (p * h2[decoded] / noise).tolist()))
+                           w[decoded].tolist()))
     x, value = solve_lp(groups)
     rates[variables] = np.maximum(x, 0.0)
     return rates, value
+
+
+def _lp_sum_rate(channel, flags, mode):
+    """The exact LP's optimal sum-rate for a (K, N) 0/1 flag matrix, the
+    value of _lp_optimum without its rates.
+
+    Switched on the gateway count N.  For N <= 2 it is closed form, by
+    Edmonds' polymatroid intersection theorem (1970): the maximum of x(V)
+    over two polymatroids f_1, f_2 is the minimum over S of
+    f_1(S) + f_2(V - S).  With f_g(S) = log2(1 + w_g(S)) on gateway g's
+    decoded set, S holds every geophone decoded only at gateway 1, none
+    decoded only at gateway 2, and a set T of those decoded at both, C.
+    The sum is concave and increasing in (w_1(T), w_2(C - T)), so its
+    minimum lies on one of the |C| + 1 prefixes T of C sorted by
+    w_2 / w_1, descending (+inf where w_1 = 0).  At N = 1 the value is
+    log2(1 + w(D)).  For N >= 3, where no such min-max theorem holds, it
+    is _lp_optimum's value from the simplex.
+    """
+    f = flags.astype(bool)
+    if f.shape[1] > 2:
+        return _lp_optimum(channel, f, mode)[1]
+    w = _gateway_weights(channel, f, mode)
+    if len(w) == 1:
+        return math.log2(1.0 + float(w[0][f[:, 0]].sum()))
+    (w1, w2), (d1, d2) = w, f.T
+    both = (d1 & d2).nonzero()[0]
+    pairs = sorted(zip(w1[both].tolist(), w2[both].tolist()), reverse=True,
+                   key=lambda w12: w12[1] / w12[0] if w12[0] else math.inf)
+    # w_1 of S and w_2 of V - S for every prefix T, shortest first; each
+    # a sum of nonnegative terms, so no sum cancels
+    at1 = accumulate((x1 for x1, _ in pairs),
+                     initial=float(w1[d1 > d2].sum()))
+    at2 = list(accumulate((x2 for _, x2 in reversed(pairs)),
+                          initial=float(w2[d2 > d1].sum())))[::-1]
+    return min(math.log2(1.0 + u) + math.log2(1.0 + v)
+               for u, v in zip(at1, at2))
 
 
 def evaluate_lp(channel, assignment, mode=EvaluationMode(ORDER_LP)):

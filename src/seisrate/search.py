@@ -40,7 +40,7 @@ from .rates import (
     DecodingAssignment,
     EvaluationMode,
     _active_mask,
-    _lp_optimum,
+    _lp_sum_rate,
     combine_bounds,
     evaluate_fixed_order_batch,
     evaluate_lp,  # noqa: F401  (perfbench/tracer.py wraps it here)
@@ -56,8 +56,9 @@ from .rates import (
 # block, not the space.  The cap bounds the case where the bound prunes
 # nothing: visiting every block takes 0.9-2.8 s at 12 x 2 and 28 s at
 # 24 x 1 in scenario 2.
-# lp-exact ES solves one LP per assignment: about 14 s for the 2^16 of
-# 8 x 2.  Campaigns run ES whenever the space fits,
+# lp-exact ES evaluates one LP per assignment: 1.6-2.6 s for the 2^16 of
+# 8 x 2 (seeds 1-3, either scenario), each value in closed form.
+# Campaigns run ES whenever the space fits,
 # so the caps also decide which campaigns report mse_vs_es.
 EXHAUSTIVE_CAP = 2 ** 24
 LP_EXHAUSTIVE_CAP = 2 ** 16
@@ -207,9 +208,10 @@ class _Objective:
     minimum over gateways.  gateway_bounds gives a row the bits it has in
     any batch, so the values are batch()'s.
 
-    Under lp, lp_values maps each assignment already solved in this search
-    (the bytes of its boolean flags) to its sum-rate, so no assignment is
-    solved twice; every evaluation still counts.
+    Under lp, the value is _lp_sum_rate's, and lp_values maps each
+    assignment already solved in this search (the bytes of its boolean
+    flags) to it, so no assignment is solved twice; every evaluation still
+    counts.
     """
 
     def __init__(self, channel, mode, es_values=None):
@@ -253,7 +255,7 @@ class _Objective:
         key = flags.tobytes()
         value = self.lp_values.get(key)
         if value is None:
-            value = self.lp_values[key] = _lp_optimum(self.channel, flags, self.mode)[1]
+            value = self.lp_values[key] = _lp_sum_rate(self.channel, flags, self.mode)
         return value
 
     def _kept(self, state):
@@ -497,8 +499,8 @@ def exhaustive_search(channel, mode=EvaluationMode()):
     of every pattern; the inner assignments gather their rows, take the
     minimum across gateways and sum.  No log, sort or cumulative sum runs
     per assignment, and the sums equal evaluate_fixed_order_batch's bit
-    for bit.  The lp-exact evaluator solves one LP per assignment, in the
-    same order.
+    for bit.  The lp-exact evaluator takes one LP value per assignment, in
+    the same order, from _lp_sum_rate, as batch() does.
 
     When the values are not kept (more than ES_VALUES_CAP assignments),
     the fixed-order search is a branch and bound one level deep (Land and
@@ -524,7 +526,7 @@ def exhaustive_search(channel, mode=EvaluationMode()):
     bounds, order = np.full(len(outer), np.inf), np.arange(len(outer))
     if mode.order_policy == ORDER_LP:
         # each assignment once, so no _Objective: its memo would keep them all
-        block_sums = (np.array([_lp_optimum(channel, flags, mode)[1]
+        block_sums = (np.array([_lp_sum_rate(channel, flags, mode)
                                 for flags in block | inner]) for block in outer)
     else:
         silent = mode.undecoded_gp_policy == UNDECODED_SILENT

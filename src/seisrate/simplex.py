@@ -4,7 +4,10 @@ solve_lp(groups) maximizes sum(x) over x >= 0 subject to x(S) <=
 log2(1 + w_g(S)) for every group g = (members, weights) and every nonempty
 subset S of its members, where w_g(S) sums the weights of S.  In
 rates._lp_optimum a group is a gateway's SIC rate polymatroid: the
-geophones it decodes, weighted by P h^2 / noise.
+geophones it decodes, weighted by P h^2 / noise.  The searches reach it
+only past two gateways, through rates._lp_sum_rate, which has the value
+in closed form up to two; evaluate_lp's rate vectors come from here at
+any gateway count.
 
 The sum(2^d_g - 1) subset rows are never written out.  The solver works on
 the dual, min f @ y s.t. A^T y - s = 1, y, s >= 0, in an (n + 1)-row
@@ -31,7 +34,7 @@ import numpy as np
 from .errors import CapacityLimitError, SeisrateError
 
 _TOL = 1e-9
-# A call that reaches this cap ends about 1 s in at 217 geophones on 2
+# A call that reaches this cap ends about 1.3 s in at 267 geophones on 3
 # gateways (one BLAS thread, 2 vCPUs).  6-8 x 2 LPs take about 4 pivots,
 # 40 x 2 decode-all 38-89, and random assignments of 150 x 2 330-570.
 MAX_PIVOTS = 1500

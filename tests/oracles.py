@@ -19,7 +19,9 @@ exhaustive search the library once ran: every flat flag pattern through
 `evaluate_fixed_order_batch`.  It shares the evaluator on purpose, since
 the pattern-table search must reproduce that evaluator's sums bit for bit.
 `two_gateway_lp` gives the LP's optimum for two gateways without building
-or solving it.  `reference_solve_lp` is the dual simplex loop that
+or solving it: the theorem `rates._lp_sum_rate` uses, written apart from
+it on the raw gains with numpy sums, and only for nonzero gains at
+gateway 1.  `reference_solve_lp` is the dual simplex loop that
 `simplex.solve_lp` replaced, all in numpy, and `reference_lp_value` builds
 its groups as `rates._lp_optimum` once did: every LP must get the same x
 and value bits from both.

@@ -577,13 +577,14 @@ class TestCli:
         assert set(algo.choices) == set(ALGORITHMS)
 
     def test_exit_capacity_on_oversized_lp(self, tmp_path, capsys, monkeypatch):
-        # about 32 of 64 geophones decoded on one gateway, 2^32 subset rows
-        # if written out: solved by cuts, and exit 4 with no traceback once
-        # the pivot cap is below what the cuts need
+        # about 32 of 64 geophones decoded on each of three gateways, 2^32
+        # subset rows each if written out: past two gateways the simplex
+        # solves it by cuts, and exits 4 with no traceback once the pivot
+        # cap is below what the cuts need
         inst = tmp_path / "wide.json"
         argv = ["stage1", "optimize", "--instance", str(inst), "--algo", "sa",
                 "--evaluator", "lp", "--particles", "1", "--iters", "1"]
-        assert main(["gen", "--kind", "channel", "--gps", "64", "--gws", "1",
+        assert main(["gen", "--kind", "channel", "--gps", "64", "--gws", "3",
                      "--out", str(inst)]) == 0
         assert main(argv) == 0
         capsys.readouterr()

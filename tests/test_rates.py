@@ -24,6 +24,8 @@ from seisrate.rates import (
     DecodingAssignment,
     EvaluationMode,
     _active_mask,
+    _lp_optimum,
+    _lp_sum_rate,
     combine_bounds,
     evaluate_fixed_order,
     evaluate_fixed_order_batch,
@@ -466,6 +468,69 @@ class TestLpSubsetRows:
         for i, decoded in enumerate(sets):
             flags[list(decoded), i] = 1
         assert_optimal_over_every_row(channel, flags, mode)
+
+
+class TestLpSumRate:
+    """_lp_sum_rate, closed form up to two gateways, against the simplex
+    (_lp_optimum), the two-gateway oracle and, up to 10 geophones, scipy
+    over every subset row: all to 1e-12 relative."""
+
+    @staticmethod
+    def check(channel, flags, mode):
+        value = _lp_sum_rate(channel, flags, mode)
+        assert value == pytest.approx(_lp_optimum(channel, flags, mode)[1],
+                                      rel=1e-12)
+        # the oracle divides by the gains at gateway 1
+        if channel.num_gws == 2 and channel.gains[:, 0].all():
+            assert value == pytest.approx(two_gateway_lp(channel, flags, mode),
+                                          rel=1e-12)
+        if channel.num_gps <= 10:
+            assert value == pytest.approx(reference_lp_sum(channel, flags, mode),
+                                          rel=1e-12)
+        return value
+
+    @given(k=st.integers(1, 40), n=st.integers(1, 2), scenario=st.sampled_from([1, 2]),
+           density=st.floats(0.1, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_random_assignments(self, k, n, scenario, density, seed):
+        rng = np.random.default_rng(seed)
+        flags = rng.random((k, n)) < density
+        self.check(random_channel(k, n, seed), flags,
+                   EvaluationMode.scenario(scenario, ORDER_LP))
+
+    @given(k=st.integers(1, 16), n=st.integers(1, 2), scenario=st.sampled_from([1, 2]),
+           density=st.floats(0.1, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_zero_and_tied_gains(self, k, n, scenario, density, seed):
+        # four gain levels: zero gains at either gateway, tied gains, and
+        # tied ratios between the gateways, 0 / 0 included
+        rng = np.random.default_rng(seed)
+        gains = rng.choice([0.0, 0.5, 1.0, 2.0], size=(k, n))
+        channel = ChannelMatrix(k, n, gains, MW, MW)
+        flags = rng.random((k, n)) < density
+        self.check(channel, flags, EvaluationMode.scenario(scenario, ORDER_LP))
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nothing_decoded(self, n, scenario):
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        flags = np.zeros((5, n), dtype=bool)
+        assert _lp_sum_rate(random_channel(5, n, 3), flags, mode) == 0.0
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("idle", [0, 1])
+    def test_one_gateway_decodes_nothing(self, idle, scenario):
+        # the other gateway alone: log2(1 + w(D)), D its decoded set
+        channel = random_channel(8, 2, 4)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        flags = np.zeros((8, 2), dtype=bool)
+        decoded = np.isin(np.arange(8), [0, 3, 4, 6])
+        flags[:, 1 - idle] = decoded
+        h2 = channel.gains[:, 1 - idle] ** 2
+        interferers = ~decoded if scenario == 1 else np.zeros(8, bool)
+        noise = channel.noise_power + channel.gp_power * h2[interferers].sum()
+        want = math.log2(1 + channel.gp_power * h2[decoded].sum() / noise)
+        assert self.check(channel, flags, mode) == pytest.approx(want, rel=1e-12)
 
 
 class TestSearchSpaceSize:

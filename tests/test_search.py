@@ -14,7 +14,7 @@ from seisrate.rates import (
     DecodingAssignment,
     EvaluationMode,
     _active_mask,
-    _lp_optimum,
+    _lp_sum_rate,
     evaluate_fixed_order,
     evaluate_fixed_order_batch,
     evaluate_lp,
@@ -84,7 +84,7 @@ class TestExhaustiveSearch:
         def no_lp(*args):
             raise AssertionError("an LP was solved")
 
-        monkeypatch.setattr(seisrate.search, "_lp_optimum", no_lp)
+        monkeypatch.setattr(seisrate.search, "_lp_sum_rate", no_lp)
         mode = EvaluationMode(order_policy=ORDER_LP)
         with pytest.raises(CapacityLimitError,
                            match=f"search space {2 ** 18} exceeds the lp-exact "
@@ -308,29 +308,56 @@ class TestAlgorithmContracts:
 
 
 class TestObjectiveUnderLp:
-    @pytest.mark.parametrize("scenario", [1, 2])
-    def test_batch_is_evaluate_lp_row_by_row(self, scenario):
-        # a mixed batch: all zeros, all ones, one geophone, and random rows
-        k, n = 6, 2
-        channel = random_channel(k, n, 21 + scenario)
-        mode = EvaluationMode.scenario(scenario, ORDER_LP)
-        rng = np.random.default_rng(scenario)
-        batch = np.concatenate([
+    """Searches under lp take every value from rates._lp_sum_rate: its
+    closed form up to two gateways, agreeing with the simplex's
+    evaluate_lp to 1e-12 relative, and the simplex's own bits beyond."""
+
+    @staticmethod
+    def mixed_batch(k, n, seed):
+        # all zeros, all ones, one geophone, and random rows
+        rng = np.random.default_rng(seed)
+        return np.concatenate([
             np.zeros((1, k, n)), np.ones((1, k, n)),
             np.eye(k, n)[None], rng.random((12, k, n)) < 0.5,
         ]).astype(np.int8)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_batch_is_evaluate_lp_row_by_row(self, scenario):
+        k, n = 6, 2
+        channel = random_channel(k, n, 21 + scenario)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        batch = self.mixed_batch(k, n, scenario)
         objective = _Objective(channel, mode)
         sums = objective.batch(batch.reshape(len(batch), -1))
         assert objective.count == len(batch)
         assert sums[0] == 0.0
         for flags, value in zip(batch, sums):
+            assert _same_bits(value, _lp_sum_rate(channel, flags, mode))
             want = evaluate_lp(channel, DecodingAssignment(flags), mode)[1]
-            assert value.tobytes() == np.float64(want).tobytes()
+            assert value == pytest.approx(want, rel=1e-12)
         t = int(np.argmax(sums))
         assert objective.best_sum == sums[t]
         assert np.array_equal(objective.best_flags, batch[t])
         objective.batch(batch[0].ravel()[None])
         assert objective.count == len(batch) + 1
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_three_gateways_keep_the_simplex_bits(self, scenario):
+        # past two gateways the values are the simplex's, in a batch and
+        # in exhaustive search's values
+        k, n = 5, 3
+        channel = random_channel(k, n, 31 + scenario)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        batch = self.mixed_batch(k, n, scenario)
+        sums = _Objective(channel, mode).batch(batch)
+        for flags, value in zip(batch, sums):
+            want = evaluate_lp(channel, DecodingAssignment(flags), mode)[1]
+            assert _same_bits(value, want)
+        small = random_channel(2, n, 33 + scenario)
+        values = exhaustive_search(small, mode).values
+        want = [evaluate_lp(small, DecodingAssignment(flags), mode)[1]
+                for flags in _flag_matrices(np.arange(1 << 2 * n), 2, n)]
+        assert values.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("scenario", [1, 2])
     @pytest.mark.parametrize("name", STOCHASTIC)
@@ -341,13 +368,13 @@ class TestObjectiveUnderLp:
         budget = SearchBudget(population=10, iterations=60, seed=scenario)
         solved = []
 
-        def lp_optimum(channel, flags, mode):
+        def lp_sum_rate(channel, flags, mode):
             solved.append(flags.tobytes())
-            return _lp_optimum(channel, flags, mode)
+            return _lp_sum_rate(channel, flags, mode)
 
-        monkeypatch.setattr(seisrate.search, "_lp_optimum", lp_optimum)
+        monkeypatch.setattr(seisrate.search, "_lp_sum_rate", lp_sum_rate)
         trace = run_algorithm(name, channel, budget, mode)
-        assert len(solved) == len(set(solved))
+        assert len(solved) == len(set(solved)) > 0
         assert trace.evaluations >= budget.evaluation_budget > len(solved)
 
     def test_batch_counts_repeats_and_solves_them_once(self, monkeypatch):
@@ -356,28 +383,32 @@ class TestObjectiveUnderLp:
         rows = (np.random.default_rng(9).random((5, 8)) < 0.5).astype(np.int8)
         batch = rows[[0, 1, 0, 2, 3, 1, 4, 0]]
         calls = []
-        monkeypatch.setattr(seisrate.search, "_lp_optimum",
-                            lambda *args: calls.append(1) or _lp_optimum(*args))
+        monkeypatch.setattr(seisrate.search, "_lp_sum_rate",
+                            lambda *args: calls.append(1) or _lp_sum_rate(*args))
         objective = _Objective(channel, mode)
         sums = objective.batch(batch)
         again = objective.batch(batch[::-1])
         assert objective.count == 16 and len(calls) == 5
         assert sums.tobytes() == again[::-1].tobytes()
-        for flags, value in zip(batch, sums):
-            want = evaluate_lp(channel, DecodingAssignment(flags.reshape(4, 2)), mode)[1]
-            assert _same_bits(value, want)
+        for flags, value in zip(batch.reshape(-1, 4, 2), sums):
+            assert _same_bits(value, _lp_sum_rate(channel, flags, mode))
+            want = evaluate_lp(channel, DecodingAssignment(flags), mode)[1]
+            assert value == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("scenario", [1, 2])
     @pytest.mark.parametrize("k", [4, 5])
     def test_exhaustive_values_match_the_reference_loop(self, k, scenario, monkeypatch):
-        # exhaustive search solves each assignment once, outside any memo
+        # exhaustive search solves each assignment once, outside any memo,
+        # with the searches' function, which agrees with the simplex
         channel = random_channel(k, 2, 50 + k + scenario)
         mode = EvaluationMode.scenario(scenario, ORDER_LP)
         monkeypatch.setattr(_Objective, "batch", None)
         values = exhaustive_search(channel, mode).values
-        want = [reference_lp_value(channel, flags, mode)
-                for flags in _flag_matrices(np.arange(1 << 2 * k), k, 2)]
+        flags = _flag_matrices(np.arange(1 << 2 * k), k, 2)
+        want = [_lp_sum_rate(channel, f, mode) for f in flags]
         assert values.tobytes() == np.array(want).tobytes()
+        simplex = [reference_lp_value(channel, f, mode) for f in flags]
+        assert values == pytest.approx(simplex, rel=1e-12)
 
 
 def _same_bits(a, b):

@@ -89,28 +89,46 @@ class WeightedRateSolution:
         return float(self.weights @ self.rates)
 
 
-def _required_rate_power(q_sum):
-    """2^sum - 1, the linear-scale SNR needed for a sum rate q_sum."""
-    return math.pow(2.0, q_sum) - 1.0
+def _queued(gateways):
+    """(the gateways with queued data, squared gains); raises when one of
+    them has no channel."""
+    q = gateways.queue_rates
+    g2 = gateways.gains ** 2
+    queued = [i for i in range(gateways.num_gws) if q[i] > 0]
+    for i in queued:
+        if g2[i] == 0:
+            raise InfeasibleProblemError(
+                f"gateway {i} has queued data but zero channel gain")
+    return queued, g2
 
 
-def _check_snr_fits(gateways, members, q_sum):
-    """Raise before 2^q_sum, the SNR a sum rate q_sum of the members needs,
-    is computed if it does not fit in a float.  Any allocation gives some
-    member at least N0 (2^q_sum - 1) / g^2(members), so a per-gateway cap
-    below that is infeasible; otherwise the problem is out of range."""
-    if q_sum < sys.float_info.max_exp:
-        return
-    log2_need = (math.log2(gateways.noise_power) + q_sum
-                 - math.log2(float(np.sum(gateways.gains[members] ** 2))))
-    cap = gateways.per_gw_power_cap
-    if cap is not None and log2_need > math.log2(cap):
-        raise InfeasibleProblemError(
-            f"the queues need a gateway power of at least 2^{log2_need:.6g} W, "
-            f"above the per-gateway cap {cap:.6g} W")
-    raise CapacityLimitError(
-        f"a sum rate of {q_sum:.6g} bps/Hz needs the SNR 2^{q_sum:.6g}, "
-        "which does not fit in a float")
+def _stacked_noise_powers(gateways, blocks):
+    """Powers for SIC blocks (gateways, Q(B), g^2(B)), listed from the one
+    decoded last.  With the blocks before it as noise, each gateway of B
+    gets N0 2^Q(before) (2^Q(B) - 1) / g^2(B): N0 / g^2(B) times the SNR,
+    inf only when the power does not fit in a float.  Where 2^Q of the
+    blocks walked would not fit, one of their gateways needs at least
+    N0 (2^Q - 1) / g^2 of them: infeasible under a smaller per-gateway
+    cap, else out of range."""
+    powers = np.zeros(gateways.num_gws)
+    n0 = gateways.noise_power
+    level, q_walked, g2_walked = 1.0, 0.0, 0.0  # level = 2^Q(before)
+    for members, q_block, g2_block in blocks:
+        q_walked += q_block
+        g2_walked += g2_block
+        if q_walked >= sys.float_info.max_exp:
+            log2_need = math.log2(n0) + q_walked - math.log2(g2_walked)
+            cap = gateways.per_gw_power_cap
+            if cap is not None and log2_need > math.log2(cap):
+                raise InfeasibleProblemError(
+                    f"the queues need a gateway power of at least "
+                    f"2^{log2_need:.6g} W, above the per-gateway cap {cap:.6g} W")
+            raise CapacityLimitError(
+                f"a sum rate of {q_walked:.6g} bps/Hz needs the SNR "
+                f"2^{q_walked:.6g}, which does not fit in a float")
+        powers[members] = n0 / g2_block * (level * math.expm1(LN2 * q_block))
+        level *= 2.0 ** q_block
+    return powers
 
 
 def _watts(power):
@@ -130,8 +148,7 @@ def _finite(powers):
 
 def descending_gain_order(gateways, active=None):
     """Gateway indices sorted by descending gain, ties to the lower index."""
-    n = gateways.num_gws
-    idx = range(n) if active is None else active
+    idx = range(gateways.num_gws) if active is None else active
     return tuple(sorted(idx, key=lambda i: (-gateways.gains[i], i)))
 
 
@@ -139,40 +156,35 @@ def min_total_power_closed_form(gateways):
     """(PowerAllocation, decoding order) minimizing total power.
 
     Decoding follows descending channel gains; each suffix sum-rate
-    constraint binds, which pins every power down.  Gateways with zero
-    queues transmit nothing and are left out of the order.
+    constraint binds, so each gateway is one block of the stacked-noise walk.
+    Gateways with zero queues transmit nothing and are left out of the order.
     """
-    q = gateways.queue_rates
-    g = gateways.gains
-    n0 = gateways.noise_power
-    active = [i for i in range(gateways.num_gws) if q[i] > 0]
-    for i in active:
-        if g[i] == 0:
-            raise InfeasibleProblemError(
-                f"gateway {i} has queued data but zero channel gain"
-            )
-    order = descending_gain_order(gateways, active)
-    powers = np.zeros(gateways.num_gws)
-    suffix_q = 0.0
-    # walk the order backwards: the last-decoded gateway is interference-free;
-    # a power past the float range is inf, reported below
-    with np.errstate(over="ignore"):
-        for k in range(len(order) - 1, -1, -1):
-            i = order[k]
-            new_suffix = suffix_q + q[i]
-            _check_snr_fits(gateways, active, new_suffix)
-            powers[i] = n0 * (_required_rate_power(new_suffix)
-                              - _required_rate_power(suffix_q)) / g[i] ** 2
-            suffix_q = new_suffix
+    queued, g2 = _queued(gateways)
+    order = descending_gain_order(gateways, queued)
+    q, g2 = gateways.queue_rates.tolist(), g2.tolist()
+    powers = _stacked_noise_powers(
+        gateways, ((i, q[i], g2[i]) for i in reversed(order)))
     cap = gateways.per_gw_power_cap
     if cap is not None:
         worst = int(np.argmax(powers))
         if powers[worst] > cap * (1 + 1e-12):
             raise InfeasibleProblemError(
                 f"gateway {worst} needs {_watts(powers[worst])}, above the "
-                f"per-gateway cap {cap:.6g} W"
-            )
+                f"per-gateway cap {cap:.6g} W")
     return PowerAllocation(_finite(powers)), order
+
+
+def _longest_maximizing_prefixes(q, g2, order):
+    """Blocks (gateways, Q(B), g^2(B)) of the lexicographically optimal
+    base: each is the longest prefix S of what is left of the order that
+    maximizes (2^Q(S) - 1) / g^2(S)."""
+    while order.size:
+        q_prefix = np.cumsum(q[order])
+        g2_prefix = np.cumsum(g2[order])
+        ratios = np.expm1(LN2 * q_prefix) / g2_prefix
+        k = order.size - 1 - int(np.argmax(ratios[::-1]))
+        yield order[:k + 1], float(q_prefix[k]), float(g2_prefix[k])
+        order = order[k + 1:]
 
 
 def min_max_power(gateways):
@@ -188,35 +200,18 @@ def min_max_power(gateways):
     again with N0 replaced by N0 2^Q(prefix).  The result is unique, the
     sum-rate constraint binds, and the returned peak is t*.
     """
+    queued, g2 = _queued(gateways)
     q = gateways.queue_rates
-    g2 = gateways.gains ** 2
-    members = [i for i in range(gateways.num_gws) if q[i] > 0]
-    powers = np.zeros(gateways.num_gws)
-    if not members:
-        return PowerAllocation(powers), 0.0
-    for i in members:
-        if g2[i] == 0:
-            raise InfeasibleProblemError(
-                f"gateway {i} has queued data but zero channel gain"
-            )
-    order = np.array(sorted(members, key=lambda i: (-q[i] / g2[i], i)))
-    noise = gateways.noise_power
-    # a level past the float range is inf, reported below
+    # a ratio past the float range is inf, and so is its power, reported below
     with np.errstate(over="ignore"):
-        while order.size:
-            q_prefix = np.cumsum(q[order])
-            _check_snr_fits(gateways, members, q_prefix[-1])
-            ratios = noise * np.expm1(LN2 * q_prefix) / np.cumsum(g2[order])
-            k = order.size - 1 - int(np.argmax(ratios[::-1]))  # longest maximizer
-            powers[order[:k + 1]] = ratios[k]
-            noise *= math.pow(2.0, q_prefix[k])
-            order = order[k + 1:]
+        order = np.array(sorted(queued, key=lambda i: (-q[i] / g2[i], i)), dtype=int)
+        powers = _stacked_noise_powers(
+            gateways, _longest_maximizing_prefixes(q, g2, order))
     peak = float(powers.max())  # the first block's level
     cap = gateways.per_gw_power_cap
     if cap is not None and peak > cap * (1 + 1e-9):
         raise InfeasibleProblemError(
-            f"the minimal peak power is {_watts(peak)}, above the cap {cap:.6g} W"
-        )
+            f"the minimal peak power is {_watts(peak)}, above the cap {cap:.6g} W")
     return PowerAllocation(_finite(powers)), peak
 
 
@@ -365,12 +360,16 @@ def time_share_decompose(gateways, powers):
     most as many orders as gateways with positive received power.
     Gateways with no received power need Q_i = 0 and are decoded first in
     every order.  Raises DecompositionError when Q is off the base or the
-    mix misses Q by more than 1e-9 (1 + sum Q).
+    mix misses Q by more than 1e-9 (1 + sum Q), and CapacityLimitError
+    when N0 plus the received power does not fit in a float.
     """
     p = np.asarray(powers.powers if isinstance(powers, PowerAllocation) else powers,
                    dtype=float)
     q = gateways.queue_rates
-    received = p * gateways.gains ** 2
+    with np.errstate(over="ignore"):
+        received = p * gateways.gains ** 2
+        if not math.isfinite(gateways.noise_power + received.sum()):
+            raise CapacityLimitError("the received power does not fit in a float")
     idle = tuple(i for i in range(gateways.num_gws) if received[i] <= 0)
     live = [i for i in range(gateways.num_gws) if received[i] > 0]
     for i in idle:

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityLimitError, InstanceFormatError
-from .model import (ChannelMatrix, _integer, _list_of, _number, _read_field,
-                    _string, generate_rayleigh, load_instance)
+from .model import (MW_PER_W, ChannelMatrix, _integer, _list_of, _number,
+                    _read_field, _string, generate_rayleigh, load_instance)
 from .rates import ORDER_FIXED, EvaluationMode, evaluation_mode
 from .search import (
     ALGORITHMS,
@@ -141,8 +141,8 @@ class ExperimentSpec:
             instance_path=field("instance", _string, None),
             num_gps=field("num_gps", _integer, None),
             num_gws=field("num_gws", _integer, None),
-            gp_power=field("gp_power_mw", _number, 1.0) / 1000.0,
-            noise_power=field("noise_power_mw", _number, 1.0) / 1000.0,
+            gp_power=field("gp_power_mw", _number, 1.0) / MW_PER_W,
+            noise_power=field("noise_power_mw", _number, 1.0) / MW_PER_W,
             output_dir=field("output_dir", _string, "."),
             aco_heuristic=field("aco_heuristic", _string, None),
         )
@@ -171,7 +171,7 @@ class ExperimentSpec:
         )
 
 
-def run_experiment(spec, write_traces=True):
+def run_experiment(spec):
     """Execute the campaign; returns summary rows and writes CSV files.
 
     Exhaustive search runs once per distinct channel (once per replication,
@@ -234,13 +234,12 @@ def run_experiment(spec, write_traces=True):
                 repr(float(finals.mean())), repr(float(finals.std())), mse,
             ])
 
-    if write_traces:
-        _write_csv(outdir / "traces.csv", TRACE_HEADER, (
-            [algo, m, i, r, it, repr(float(val))]
-            for ai, algo in enumerate(spec.algorithms)
-            for bi, (m, i) in enumerate(spec.budgets)
-            for r in range(spec.replications)
-            for it, val in enumerate(histories[ai, bi, r])))
+    _write_csv(outdir / "traces.csv", TRACE_HEADER, (
+        [algo, m, i, r, it, repr(float(val))]
+        for ai, algo in enumerate(spec.algorithms)
+        for bi, (m, i) in enumerate(spec.budgets)
+        for r in range(spec.replications)
+        for it, val in enumerate(histories[ai, bi, r])))
     _write_csv(outdir / "summary.csv", SUMMARY_HEADER, summary_rows)
     return summary_rows
 
@@ -298,8 +297,8 @@ class GwSizingSpec:
             scenario=field("scenario", _integer, 1),
             required_kbps=float(field("required_kbps", _number, 144.0)),
             bandwidth_khz=float(field("bandwidth_khz", _number, 200.0)),
-            gp_power=field("gp_power_mw", _number, 1.0) / 1000.0,
-            noise_power=field("noise_power_mw", _number, 1.0) / 1000.0,
+            gp_power=field("gp_power_mw", _number, 1.0) / MW_PER_W,
+            noise_power=field("noise_power_mw", _number, 1.0) / MW_PER_W,
             output_dir=field("output_dir", _string, "."),
         )
 

@@ -793,8 +793,6 @@ def simulated_annealing(channel, budget, mode=EvaluationMode(), es_values=None):
             state = fresh_state()
         if (move + 1) % record_every == 0:
             objective.record()
-    if len(objective.history) < budget.iterations:
-        objective.record()
     return objective.trace("sa")
 
 

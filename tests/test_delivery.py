@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -54,6 +55,20 @@ def permutation_oracle_total(gateways):
             suffix = new_suffix
         best = min(best, total)
     return best
+
+
+def forty_digit_min_total(gateways, order):
+    """Each power N0 (2^(s + q_i) - 2^s) / g_i^2, with s the queues decoded
+    after gateway i, in 40-digit decimal arithmetic."""
+    powers = np.zeros(gateways.num_gws)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        n0, suffix = Decimal(gateways.noise_power), Decimal(0)
+        for i in reversed(order):
+            q, g = Decimal(gateways.queue_rates[i]), Decimal(gateways.gains[i])
+            powers[i] = n0 * (2 ** (suffix + q) - 2 ** suffix) / (g * g)
+            suffix += q
+    return powers
 
 
 def sic_corner(gateways, powers, order):
@@ -160,6 +175,18 @@ class TestMinTotalPower:
                 permutation_oracle_total(gw), rel=1e-12
             )
 
+    def test_matches_a_forty_digit_reference(self):
+        # queues near 1e-4 bps/Hz decoded before others: 2^(s + q) - 2^s
+        # in floats would cancel most of its digits
+        rng = np.random.default_rng(3100)
+        for case in range(60):
+            n = int(rng.integers(1, 33))
+            q = rng.uniform(0.0, 1.5, n) * rng.choice([1.0, 1e-4], n)
+            gw = GatewayState(n, q, rng.rayleigh(1.0, n), 1e-3)
+            alloc, order = min_total_power_closed_form(gw)
+            ref = forty_digit_min_total(gw, order)
+            assert np.all(np.abs(alloc.powers - ref) <= 1e-12 * ref)
+
     def test_convex_solver_agrees(self, small_buffer_gateways):
         closed, _ = min_total_power_closed_form(small_buffer_gateways)
         convex = min_total_lp(small_buffer_gateways)
@@ -184,11 +211,6 @@ class TestMinTotalPower:
         with pytest.raises(InfeasibleProblemError):
             min_total_power_closed_form(gw)
         assert min_total_lp(gw) is None
-
-    def test_zero_gain_with_queue_is_infeasible(self):
-        gw = GatewayState(2, [1.0, 1.0], [1.0, 0.0], 1e-3)
-        with pytest.raises(InfeasibleProblemError):
-            min_total_power_closed_form(gw)
 
 
 class TestMinMaxPower:
@@ -304,6 +326,37 @@ class TestSnrOutOfFloatRange:
             solve(_sum_rate_instance(1023.5, cap=1.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve", [min_total_power_closed_form, min_max_power])
+def test_zero_gain_with_queue_is_infeasible(solve):
+    # a gain of 1e-200 squares to zero in a float as well
+    for gain in (0.0, 1e-200):
+        gw = GatewayState(2, [1.0, 1.0], [1.0, gain], 1e-3)
+        with pytest.raises(InfeasibleProblemError, match="zero channel gain"):
+            solve(gw)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve", [min_total_power_closed_form, min_max_power])
+def test_power_that_fits_past_an_overflowing_product(solve):
+    # N0 (2^8 - 1) = 2.55e308 W does not fit in a float, but the power
+    # N0 (2^8 - 1) / g^2 does
+    powers = solve(GatewayState(1, [8.0], [100.0], 1e306))[0].powers
+    assert powers[0] == pytest.approx(2.55e304, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cap, error", [
+    (None, CapacityLimitError), (1.0, InfeasibleProblemError), (1e308, CapacityLimitError)])
+def test_min_max_sum_rate_rounded_up_to_the_float_range(cap, error):
+    # the queues sum to 1024 - 2^-43 in index order but to 1024 in the
+    # min-max order, so 2^Q(B) of the one block does not fit in a float
+    q = [150.11206487640774, 297.43501110652534, 227.77188609037023, 348.6810379266966]
+    g = [1.3289172657819308, 1.3908863024197524, 1.77243681241259, 0.7182103072797976]
+    with pytest.raises(error):
+        min_max_power(GatewayState(4, q, g, 1e-3, per_gw_power_cap=cap))
+
+
 @pytest.mark.parametrize("solve", [min_total_power_closed_form, min_max_power])
 def test_powers_past_the_float_range(solve):
     # 2^sum(Q) fits, but N0 (2^sum(Q) - 1) / g^2 overflows to inf: out of
@@ -320,12 +373,14 @@ def test_powers_past_the_float_range(solve):
     (None, CapacityLimitError), (1e-3, InfeasibleProblemError)])
 @pytest.mark.parametrize("solve", [min_total_power_closed_form, min_max_power])
 def test_overflowing_powers_are_reported_without_a_warning(solve, cap, error):
-    # N0 = 1e305 W over g^2 = 1e-6: every power overflows to inf, which
-    # is an error with its own exit code, and no RuntimeWarning on the way
-    gw = GatewayState(4, [1.0, 1.5, 0.6, 1.4], [1e-3] * 4, 1e305, per_gw_power_cap=cap)
-    with pytest.raises(error, match="does not fit in a float") as info:
-        solve(gw)
-    assert "inf W" not in str(info.value)
+    # N0 = 1e305 W over g^2 = 1e-6, or 1 mW over g^2 = 1e-320: every
+    # power overflows to inf, which is an error with its own exit code,
+    # and no RuntimeWarning on the way
+    for n0, gain in ((1e305, 1e-3), (1e-3, 1e-160)):
+        gw = GatewayState(4, [1.0, 1.5, 0.6, 1.4], [gain] * 4, n0, per_gw_power_cap=cap)
+        with pytest.raises(error, match="does not fit in a float") as info:
+            solve(gw)
+        assert "inf W" not in str(info.value)
 
 
 class TestCornerRatesAndOrders:
@@ -472,6 +527,15 @@ class TestTimeShareDecompose:
             time_share_decompose(
                 small_buffer_gateways, PowerAllocation(alloc.powers * 2.0)
             )
+
+    @pytest.mark.filterwarnings("error")
+    def test_received_power_past_the_float_range(self):
+        # the power N0 (2^12 - 1) / g^2 = 4.095e304 W fits in a float, but
+        # the received power 4.095e308 W does not
+        gw = GatewayState(1, [12.0], [100.0], 1e305)
+        alloc, _ = min_max_power(gw)
+        with pytest.raises(CapacityLimitError, match="does not fit in a float"):
+            time_share_decompose(gw, alloc)
 
 
 class TestWeightedSum:

@@ -14,8 +14,9 @@ from seisrate.cli import build_parser, main
 from seisrate.errors import CapacityLimitError, InstanceFormatError
 from seisrate.experiments import ExperimentSpec, GwSizingSpec, run_experiment, run_gw_sizing
 from seisrate.model import fixture_path, load_instance
-from seisrate.rates import EvaluationMode
-from seisrate.search import ALGORITHMS, exhaustive_search, run_algorithm
+from seisrate.rates import EvaluationMode, evaluation_mode
+from seisrate.search import (ALGORITHMS, SearchBudget, exhaustive_search, run_algorithm,
+                             simulated_annealing)
 
 
 def write_spec(path, **overrides):
@@ -199,9 +200,9 @@ class TestRunExperiment:
 
     def test_different_seeds_differ(self, tmp_path):
         a = run_experiment(ExperimentSpec.from_json(
-            write_spec(tmp_path / "a.json", master_seed=1)), write_traces=False)
+            write_spec(tmp_path / "a.json", master_seed=1)))
         b = run_experiment(ExperimentSpec.from_json(
-            write_spec(tmp_path / "b.json", master_seed=2)), write_traces=False)
+            write_spec(tmp_path / "b.json", master_seed=2)))
         assert a != b
 
     def test_fixture_instance_reaches_known_optimum(self, tmp_path):
@@ -210,7 +211,7 @@ class TestRunExperiment:
             instance_path=str(fixture_path("channel_3x2.json")),
             evaluator="lp", output_dir=str(tmp_path),
         )
-        rows = run_experiment(spec, write_traces=False)
+        rows = run_experiment(spec)
         assert float(rows[0][4]) == pytest.approx(3.813, abs=1e-3)
 
     def test_es_rows_are_the_optimum_behind_mse(self, tmp_path):
@@ -416,6 +417,22 @@ class TestCli:
         assert doc["evaluations"] == 40
         assert len(doc["trace"]) == 8
 
+    def test_stage1_sa_tmax_reaches_the_annealer(self, tmp_path, capsys):
+        inst = tmp_path / "ch.json"
+        assert main(["gen", "--kind", "channel", "--gps", "8", "--gws", "2",
+                     "--seed", "1", "--out", str(inst)]) == 0
+        capsys.readouterr()
+        assert main(["stage1", "optimize", "--instance", str(inst), "--algo", "sa",
+                     "-M", "10", "-I", "20", "--seed", "3", "--sa-tmax", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        channel, mode = load_instance(inst), evaluation_mode("fixed-order", 1)
+        cool, hot = (simulated_annealing(channel, SearchBudget(
+            10, 20, sa_max_temperature=tmax, seed=3), mode) for tmax in (5.0, None))
+        assert doc["trace"] == cool.best_per_iteration.tolist()
+        assert doc["evaluations"] == cool.evaluations
+        # the default start temperature, M*I = 200, anneals another way
+        assert doc["trace"] != hot.best_per_iteration.tolist()
+
     def test_stage2_min_total(self, capsys):
         assert main(["stage2", "min-total", "--instance",
                      str(fixture_path("gateways_small_buffer.json"))]) == 0
@@ -519,6 +536,21 @@ class TestCli:
         assert main(["stage2", problem, "--instance", str(inst)]) == 4
         captured = capsys.readouterr()
         assert "does not fit in a float" in captured.err and captured.out == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_stage2_received_power_past_the_float_range(self, tmp_path, capsys):
+        # the power 4.095e307 mW fits in a float, so min-total answers; its
+        # received power does not, so min-max has no schedule and exits 4
+        inst = tmp_path / "gw.json"
+        inst.write_text(json.dumps({"kind": "gateways", "N": 1, "Q": [12.0],
+                                    "G": [100.0], "N0_mW": 1e308}))
+        assert main(["stage2", "min-total", "--instance", str(inst)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["powers_mW"] == [pytest.approx(4.095e307, rel=1e-12)]
+        assert main(["stage2", "min-max", "--instance", str(inst)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Warning" not in captured.err
+        assert "received power does not fit in a float" in captured.err
 
     def test_stage2_weighted_sixty_four_gateways(self, tmp_path):
         inst, out = tmp_path / "gw.json", tmp_path / "res.json"

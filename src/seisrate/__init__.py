@@ -40,7 +40,6 @@ from .rates import (
 )
 from .search import (
     AcoParams,
-    PsoParams,
     SearchBudget,
     SearchTrace,
     ant_system,

@@ -43,7 +43,7 @@ from .model import (
     save_instance,
 )
 from .rates import evaluation_mode
-from .search import ALGORITHMS, AcoParams, PsoParams, SearchBudget, run_algorithm
+from .search import ALGORITHMS, AcoParams, SearchBudget, run_algorithm
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -89,8 +89,7 @@ def _cmd_stage1(args):
                           sa_max_temperature=args.sa_tmax, seed=args.seed)
     aco = AcoParams(heuristic_mode=args.aco_heuristic,
                     evaporation=args.evaporation)
-    trace = run_algorithm(args.algo, instance, budget, mode,
-                          pso_params=PsoParams(), aco_params=aco)
+    trace = run_algorithm(args.algo, instance, budget, mode, aco_params=aco)
     doc = {
         "algorithm": args.algo,
         "evaluator": args.evaluator,
@@ -168,10 +167,11 @@ def _cmd_stage2_weighted(args):
     if args.total_cap_mw is not None:
         cap = args.total_cap_mw / MW_PER_W
     solution = max_weighted_sum(gw, weights, cap)
+    *powers_mw, total_mw = _milliwatts(*solution.powers.powers, solution.powers.total)
     _emit({
         "problem": "weighted",
-        "powers_mW": [p * MW_PER_W for p in solution.powers.powers],
-        "total_mW": solution.powers.total * MW_PER_W,
+        "powers_mW": powers_mw,
+        "total_mW": total_mw,
         "order": [i + 1 for i in solution.decoding_order],
         "off_set": sorted(i + 1 for i in solution.off_set),
         "rates": solution.rates.tolist(),

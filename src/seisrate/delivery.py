@@ -222,14 +222,19 @@ def corner_rates(gateways, powers, order):
     Each rate is log2((N0 + w_incl) / (N0 + w_excl)), where w_incl and
     w_excl are the received powers decoded from this gateway on and after
     it, both summed from the end of the order so no term is subtracted.
+    CapacityLimitError when a received power or such an SNR does not fit
+    in a float.
     """
     order = np.asarray(order, dtype=int)
-    received = np.asarray(powers, dtype=float)[order] * gateways.gains[order] ** 2
-    incl = np.cumsum(received[::-1])[::-1]
-    excl = np.append(incl[1:], 0.0)
     n0 = gateways.noise_power
+    with np.errstate(over="ignore", invalid="ignore"):
+        received = np.asarray(powers, dtype=float)[order] * gateways.gains[order] ** 2
+        incl = np.cumsum(received[::-1])[::-1]
+        snr = (n0 + incl) / (n0 + np.append(incl[1:], 0.0))
+    if not np.isfinite(snr).all():
+        raise CapacityLimitError("a received power or SNR does not fit in a float")
     rates = np.zeros(gateways.num_gws)
-    rates[order] = np.log2((n0 + incl) / (n0 + excl))
+    rates[order] = np.log2(snr)
     return rates
 
 
@@ -441,8 +446,8 @@ def max_weighted_sum(gateways, weights=None, total_cap=None):
         raise ValueError("weights must sum to 1")
     if total_cap is None:
         total_cap = gateways.total_power_cap
-    if total_cap is None or total_cap <= 0:
-        raise ValueError("a positive total power cap is required")
+    if total_cap is None or not (math.isfinite(total_cap) and total_cap > 0):
+        raise ValueError("a finite positive total power cap is required")
 
     n = gateways.num_gws
     g2 = gateways.gains ** 2

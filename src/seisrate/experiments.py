@@ -18,13 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityLimitError, InstanceFormatError
-from .model import (MW_PER_W, ChannelMatrix, _integer, _list_of, _number,
-                    _read_field, _string, generate_rayleigh, load_instance)
+from .model import (MW_PER_W, ChannelMatrix, _finite_positive, _integer, _list_of,
+                    _number, _read_field, _string, generate_rayleigh, load_instance)
 from .rates import ORDER_FIXED, EvaluationMode, evaluation_mode
 from .search import (
     ALGORITHMS,
     AcoParams,
-    PsoParams,
     SearchBudget,
     exhaustive_refusal,
     exhaustive_search,
@@ -45,8 +44,8 @@ def _seed_from(parts):
 
 
 def _positive(value):
-    if not value > 0:
-        raise ValueError("must be positive")
+    if not _finite_positive(value):
+        raise ValueError("must be finite and positive")
 
 
 def _check_field(key, validate, *args):
@@ -186,7 +185,6 @@ def run_experiment(spec):
     """
     mode = spec.mode()
     aco = spec.aco_params()
-    pso = PsoParams()
 
     # an instance campaign replicates one channel: load and search it once
     distinct = ([spec.channel_for(0)] if spec.instance_path is not None
@@ -216,8 +214,8 @@ def run_experiment(spec):
                     budget = SearchBudget(m, i, seed=_seed_from(
                         (spec.master_seed, r, ai, bi)))
                     history = run_algorithm(
-                        algo, channel, budget, mode, pso_params=pso,
-                        aco_params=aco, es_values=None if es is None else es.values,
+                        algo, channel, budget, mode, aco_params=aco,
+                        es_values=None if es is None else es.values,
                     ).best_per_iteration
                 histories[ai, bi, r] = history
 

@@ -9,6 +9,7 @@ Gains are amplitude values; every rate formula squares them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -19,6 +20,11 @@ import numpy as np
 from .errors import InstanceFormatError
 
 MW_PER_W = 1000.0
+
+
+def _finite_positive(*values):
+    """Whether every value is a finite number above 0 (NaN is not)."""
+    return all(math.isfinite(v) and v > 0 for v in values)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -44,8 +50,8 @@ class ChannelMatrix:
     def __post_init__(self):
         if self.num_gps < 1 or self.num_gws < 1:
             raise ValueError("num_gps and num_gws must be positive")
-        if self.gp_power <= 0 or self.noise_power <= 0:
-            raise ValueError("gp_power and noise_power must be positive")
+        if not _finite_positive(self.gp_power, self.noise_power):
+            raise ValueError("gp_power and noise_power must be finite and positive")
         gains = _frozen_array(self.gains)
         if gains.shape != (self.num_gps, self.num_gws):
             raise ValueError(
@@ -115,18 +121,19 @@ class GatewayState:
     def __post_init__(self):
         if self.num_gws < 1:
             raise ValueError("num_gws must be positive")
-        if self.noise_power <= 0:
-            raise ValueError("noise_power must be positive")
+        if not _finite_positive(self.noise_power):
+            raise ValueError("noise_power must be finite and positive")
         q = _frozen_array(self.queue_rates)
         g = _frozen_array(self.gains)
         if q.shape != (self.num_gws,) or g.shape != (self.num_gws,):
             raise ValueError("queue_rates and gains must have length num_gws")
-        if np.any(q < 0) or np.any(g < 0):
-            raise ValueError("queue_rates and gains must be nonnegative")
+        qg = np.append(q, g)
+        if not (np.isfinite(qg) & (qg >= 0)).all():
+            raise ValueError("queue_rates and gains must be finite and nonnegative")
         for name in ("per_gw_power_cap", "total_power_cap"):
             cap = getattr(self, name)
-            if cap is not None and cap <= 0:
-                raise ValueError(f"{name} must be positive when present")
+            if cap is not None and not _finite_positive(cap):
+                raise ValueError(f"{name} must be finite and positive when present")
         object.__setattr__(self, "queue_rates", q)
         object.__setattr__(self, "gains", g)
 

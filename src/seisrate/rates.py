@@ -7,15 +7,15 @@ Two evaluators are provided for a decoding assignment:
   gateways that decode it.  Polynomial cost, used by the metaheuristics.
 * evaluate_lp: the exact optimum of the sum-rate over the intersection of
   the per-gateway MAC polytopes (one constraint per nonempty subset of
-  each decoded set), with its rate vector.  simplex.solve_lp generates
-  only the violated constraints, each a prefix of a decoded set sorted by
-  rate over received power, so no exponential row set is built; used as
-  the reference.
+  each decoded set), with its rate vector; used as the reference.  Up to
+  two gateways it is closed form: one sort of the geophones decoded at
+  both (polymatroid intersection) gives the value, and two SIC corners
+  give a rate vector that attains it.  Past two gateways simplex.solve_lp
+  generates only the violated constraints, each a prefix of a decoded set
+  sorted by rate over received power, so no exponential row set is built.
 
-The exact LP's value has a second path: _lp_sum_rate, which the searches
-call, since they need no rate vector.  Up to two gateways it is closed
-form, one sort of the geophones decoded at both (polymatroid
-intersection); past two it is the simplex's value.
+The searches need only the value, _lp_sum_rate, which shares the sort and
+the prefix sums with evaluate_lp (_ratio_prefixes) but builds no rates.
 
 The undecoded-geophone policy distinguishes the two operating scenarios:
 "interferes" (every geophone always transmits) and "silent" (a geophone
@@ -30,7 +30,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import ChannelMatrix
 from .simplex import solve_lp
 
 ORDER_FIXED = "descending-gain-corner"
@@ -236,25 +235,62 @@ def _gateway_weights(channel, f, mode):
             for column, h2 in zip(f.T, channel.squared_gains)]
 
 
+def _ratio_prefixes(w, f):
+    """(order, values) of a two-gateway assignment: its weights w =
+    (w_1, w_2) and its (K, 2) boolean flags f.
+
+    order lists C, the geophones decoded at both gateways, by w_2 / w_1,
+    descending (+inf where w_1 = 0, ties in index order).  values[t] is
+    log2(1 + w_1(S)) + log2(1 + w_2(V - S)) for S the geophones decoded
+    only at gateway 1 plus T, the first t of the order; each weight sum
+    adds nonnegative terms, so none cancels.
+    """
+    (w1, w2), (d1, d2) = w, f.T
+    w1l, w2l = w1.tolist(), w2.tolist()
+    order = sorted((d1 & d2).nonzero()[0].tolist(), reverse=True,
+                   key=lambda j: w2l[j] / w1l[j] if w1l[j] else math.inf)
+    at1 = accumulate((w1l[j] for j in order), initial=float(w1[d1 > d2].sum()))
+    at2 = list(accumulate((w2l[j] for j in reversed(order)),
+                          initial=float(w2[d2 > d1].sum())))[::-1]
+    return order, [math.log2(1.0 + u) + math.log2(1.0 + v) for u, v in zip(at1, at2)]
+
+
 def _lp_optimum(channel, flags, mode):
     """(rates, sum_rate) at the optimum of the exact LP for a (K, N) 0/1
     flag matrix; rates is a plain (K,) array.
 
-    The variables are the geophones decoded somewhere, and each gateway
-    that decodes any is one group of solve_lp: its decoded geophones with
-    their _gateway_weights.
+    Up to two gateways the optimum is two SIC corners of T, the first
+    prefix of _ratio_prefixes with the least value, and the value is that
+    least value.  Gateway 1 serves T and the geophones only it decodes,
+    decoding T first in ascending w_2 / w_1 order; gateway 2 serves C - T,
+    first and in descending order, then its own.  A served geophone's rate
+    is log2(1 + w_j / (1 + the w of those decoded after j there)), so each
+    gateway's rates sum to log2(1 + w(its set)) and the two sums to the
+    value.  Past two gateways the variables are the geophones decoded
+    somewhere, and each gateway that decodes any is one group of
+    simplex.solve_lp: its decoded geophones with their _gateway_weights.
     """
     f = flags.astype(bool)
     rates = np.zeros(channel.num_gps)
+    w = _gateway_weights(channel, f, mode)
+    if len(w) <= 2:
+        if len(w) == 1:     # and a second gateway that decodes nothing
+            w, f = w * 2, np.column_stack((f, np.zeros_like(f)))
+        order, values = _ratio_prefixes(w, f)
+        t = values.index(min(values))
+        d1, d2 = f.T
+        for served, wg in ((order[:t][::-1] + (d1 > d2).nonzero()[0].tolist(), w[0]),
+                           (order[t:] + (d2 > d1).nonzero()[0].tolist(), w[1])):
+            after = 0.0
+            for j in reversed(served):
+                rates[j] = math.log2(1.0 + wg[j] / (1.0 + after))
+                after += wg[j]
+        return rates, values[t]
     variables = np.flatnonzero(f.any(axis=1))
     if variables.size == 0:
         return rates, 0.0
-    groups = []
-    for column, w in zip(f.T, _gateway_weights(channel, f, mode)):
-        decoded = column.nonzero()[0]
-        if decoded.size:
-            groups.append((variables.searchsorted(decoded).tolist(),
-                           w[decoded].tolist()))
+    groups = [(variables.searchsorted(column.nonzero()[0]).tolist(),
+               wg[column].tolist()) for column, wg in zip(f.T, w) if column.any()]
     x, value = solve_lp(groups)
     rates[variables] = np.maximum(x, 0.0)
     return rates, value
@@ -271,10 +307,10 @@ def _lp_sum_rate(channel, flags, mode):
     decoded set, S holds every geophone decoded only at gateway 1, none
     decoded only at gateway 2, and a set T of those decoded at both, C.
     The sum is concave and increasing in (w_1(T), w_2(C - T)), so its
-    minimum lies on one of the |C| + 1 prefixes T of C sorted by
-    w_2 / w_1, descending (+inf where w_1 = 0).  At N = 1 the value is
-    log2(1 + w(D)).  For N >= 3, where no such min-max theorem holds, it
-    is _lp_optimum's value from the simplex.
+    minimum lies on one of the |C| + 1 prefixes T of C that
+    _ratio_prefixes values.  At N = 1 the value is log2(1 + w(D)).  For
+    N >= 3, where no such min-max theorem holds, it is _lp_optimum's
+    value from the simplex.
     """
     f = flags.astype(bool)
     if f.shape[1] > 2:
@@ -282,23 +318,13 @@ def _lp_sum_rate(channel, flags, mode):
     w = _gateway_weights(channel, f, mode)
     if len(w) == 1:
         return math.log2(1.0 + float(w[0][f[:, 0]].sum()))
-    (w1, w2), (d1, d2) = w, f.T
-    both = (d1 & d2).nonzero()[0]
-    pairs = sorted(zip(w1[both].tolist(), w2[both].tolist()), reverse=True,
-                   key=lambda w12: w12[1] / w12[0] if w12[0] else math.inf)
-    # w_1 of S and w_2 of V - S for every prefix T, shortest first; each
-    # a sum of nonnegative terms, so no sum cancels
-    at1 = accumulate((x1 for x1, _ in pairs),
-                     initial=float(w1[d1 > d2].sum()))
-    at2 = list(accumulate((x2 for _, x2 in reversed(pairs)),
-                          initial=float(w2[d2 > d1].sum())))[::-1]
-    return min(math.log2(1.0 + u) + math.log2(1.0 + v)
-               for u, v in zip(at1, at2))
+    return min(_ratio_prefixes(w, f)[1])
 
 
 def evaluate_lp(channel, assignment, mode=EvaluationMode(ORDER_LP)):
     """(RateVector, sum_rate) at the exact optimum of the subset-constraint
-    LP; CapacityLimitError beyond simplex.MAX_PIVOTS pivots."""
+    LP; past two gateways, CapacityLimitError beyond simplex.MAX_PIVOTS
+    pivots."""
     flags = assignment.flags
     if flags.shape != (channel.num_gps, channel.num_gws):
         raise ValueError("assignment dimensions do not match the channel")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +84,14 @@ HEURISTIC_GW_AVERAGE_DEACTIVATION = "gw-average+gp-deactivation"
 # pheromone shift for turning clamped values into valid probabilities
 _TAU_SHIFT_EPS = 1e-6
 
+# PSO: cognitive and social acceleration, ampso's inertia, and the
+# velocity clamp of each variant
+PSO_C1 = 1.496
+PSO_C2 = 1.496
+PSO_INERTIA = 0.729
+V_MAX_AMPSO = 4.0
+V_MAX_DPSO = 6.0
+
 
 def scenario_heuristic(scenario):
     """Default ACO prior for a scenario: gain-based when undecoded geophones
@@ -123,15 +131,6 @@ class SearchBudget:
 
     def rng(self):
         return np.random.default_rng(self.seed)
-
-
-@dataclass(frozen=True)
-class PsoParams:
-    c1: float = 1.496
-    c2: float = 1.496
-    inertia: float = 0.729
-    v_max_ampso: float = 4.0
-    v_max_dpso: float = 6.0
 
 
 @dataclass(frozen=True)
@@ -562,8 +561,7 @@ def sigmoid(v):
     return 1.0 / (1.0 + np.exp(-np.asarray(v, dtype=float)))
 
 
-def dpso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode(),
-         es_values=None):
+def dpso(channel, budget, mode=EvaluationMode(), es_values=None):
     """Discrete binary PSO: velocity is the log-odds that a bit is one.
 
     es_values, if given, are exhaustive search's values on this channel
@@ -575,17 +573,17 @@ def dpso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode(),
     m, d = budget.population, channel.num_gps * channel.num_gws
 
     x = (rng.random((m, d)) < 0.5).astype(np.int8)
-    v = rng.uniform(-pso_params.v_max_dpso, pso_params.v_max_dpso, (m, d))
+    v = rng.uniform(-V_MAX_DPSO, V_MAX_DPSO, (m, d))
     pbest = x.copy()
     pbest_val = objective.batch(x)
     objective.record()
 
     for _ in range(budget.iterations - 1):
         g = int(np.argmax(pbest_val))
-        phi1 = pso_params.c1 * rng.random((m, d))
-        phi2 = pso_params.c2 * rng.random((m, d))
+        phi1 = PSO_C1 * rng.random((m, d))
+        phi2 = PSO_C2 * rng.random((m, d))
         v = v + phi1 * (pbest - x) + phi2 * (pbest[g] - x)
-        np.clip(v, -pso_params.v_max_dpso, pso_params.v_max_dpso, out=v)
+        np.clip(v, -V_MAX_DPSO, V_MAX_DPSO, out=v)
         rho = rng.random((m, d))
         x = (rho < sigmoid(v)).astype(np.int8)
         vals = objective.batch(x)
@@ -603,17 +601,13 @@ def angle_modulation_bits(params, num_bits):
     nonnegative at the sample point.
     """
     params = np.asarray(params, dtype=float)
-    a = params[..., 0:1]
-    b = params[..., 1:2]
-    c = params[..., 2:3]
-    d = params[..., 3:4]
+    a, b, c, d = (params[..., i:i + 1] for i in range(4))
     x = np.arange(num_bits) / num_bits
     h = np.sin(2.0 * np.pi * (x - a) * b * np.cos(2.0 * np.pi * c * (x - a))) + d
     return (h >= 0.0).astype(np.int8)
 
 
-def ampso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode(),
-          es_values=None):
+def ampso(channel, budget, mode=EvaluationMode(), es_values=None):
     """Angle-modulated PSO: continuous search over 4-parameter generators."""
     rng = budget.rng()
     objective = _Objective(channel, mode, es_values)
@@ -621,7 +615,7 @@ def ampso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode(),
 
     s = rng.uniform(-1.0, 1.0, size=(m, 4))
     # random initial velocities keep even a lone particle moving
-    v = rng.uniform(-pso_params.v_max_ampso, pso_params.v_max_ampso, (m, 4))
+    v = rng.uniform(-V_MAX_AMPSO, V_MAX_AMPSO, (m, 4))
     bits = angle_modulation_bits(s, d)
     pbest = s.copy()
     pbest_val = objective.batch(bits)
@@ -631,10 +625,10 @@ def ampso(channel, budget, pso_params=PsoParams(), mode=EvaluationMode(),
         g = int(np.argmax(pbest_val))
         r1 = rng.random((m, 4))
         r2 = rng.random((m, 4))
-        v = (pso_params.inertia * v
-             + pso_params.c1 * r1 * (pbest - s)
-             + pso_params.c2 * r2 * (pbest[g] - s))
-        np.clip(v, -pso_params.v_max_ampso, pso_params.v_max_ampso, out=v)
+        v = (PSO_INERTIA * v
+             + PSO_C1 * r1 * (pbest - s)
+             + PSO_C2 * r2 * (pbest[g] - s))
+        np.clip(v, -V_MAX_AMPSO, V_MAX_AMPSO, out=v)
         s = s + v
         bits = angle_modulation_bits(s, d)
         vals = objective.batch(bits)
@@ -802,35 +796,33 @@ def _constant_trace(name, assignment, best, budget, evaluations):
     return SearchTrace(hist, assignment, best, evaluations, 0.0, name)
 
 
-def _es(channel, budget, mode, pso_params, aco_params, es_values):
+def _es(channel, budget, mode, aco_params, es_values):
     assignment, best = exhaustive_search(channel, mode)
     return _constant_trace("es", assignment, best, budget,
                            search_space_size(channel.num_gps, channel.num_gws))
 
 
-def _baseline(channel, budget, mode, pso_params, aco_params, es_values):
+def _baseline(channel, budget, mode, aco_params, es_values):
     assignment, best = no_optimization_baseline(channel, mode)
     return _constant_trace("baseline", assignment, best, budget, 1)
 
 
-# every stage-1 method, as
-# runner(channel, budget, mode, pso_params, aco_params, es_values)
+# every stage-1 method, as runner(channel, budget, mode, aco_params, es_values)
 ALGORITHMS = {
     "es": _es,
     "baseline": _baseline,
-    "dpso": lambda ch, budget, mode, pso, aco, es: dpso(ch, budget, pso, mode, es),
-    "ampso": lambda ch, budget, mode, pso, aco, es: ampso(ch, budget, pso, mode, es),
-    "as": lambda ch, budget, mode, pso, aco, es: ant_system(
+    "dpso": lambda ch, budget, mode, aco, es: dpso(ch, budget, mode, es),
+    "ampso": lambda ch, budget, mode, aco, es: ampso(ch, budget, mode, es),
+    "as": lambda ch, budget, mode, aco, es: ant_system(
         ch, budget, aco, mode, es_values=es),
-    "mmas": lambda ch, budget, mode, pso, aco, es: max_min_ant_system(
+    "mmas": lambda ch, budget, mode, aco, es: max_min_ant_system(
         ch, budget, aco, mode, es_values=es),
-    "sa": lambda ch, budget, mode, pso, aco, es: simulated_annealing(
-        ch, budget, mode, es),
+    "sa": lambda ch, budget, mode, aco, es: simulated_annealing(ch, budget, mode, es),
 }
 
 
 def run_algorithm(name, channel, budget, mode=EvaluationMode(),
-                  pso_params=PsoParams(), aco_params=AcoParams(), es_values=None):
+                  aco_params=AcoParams(), es_values=None):
     """Uniform front end used by the CLI and the experiment harness.
 
     es_values, exhaustive search's values on this channel and mode
@@ -839,4 +831,4 @@ def run_algorithm(name, channel, budget, mode=EvaluationMode(),
     """
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}")
-    return ALGORITHMS[name](channel, budget, mode, pso_params, aco_params, es_values)
+    return ALGORITHMS[name](channel, budget, mode, aco_params, es_values)

@@ -4,10 +4,9 @@ solve_lp(groups) maximizes sum(x) over x >= 0 subject to x(S) <=
 log2(1 + w_g(S)) for every group g = (members, weights) and every nonempty
 subset S of its members, where w_g(S) sums the weights of S.  In
 rates._lp_optimum a group is a gateway's SIC rate polymatroid: the
-geophones it decodes, weighted by P h^2 / noise.  The searches reach it
-only past two gateways, through rates._lp_sum_rate, which has the value
-in closed form up to two; evaluate_lp's rate vectors come from here at
-any gateway count.
+geophones it decodes, weighted by P h^2 / noise.  The program reaches it
+only past two gateways: up to two, rates has the value and a rate vector
+in closed form, and the tests keep this solver there as a reference.
 
 The sum(2^d_g - 1) subset rows are never written out.  The solver works on
 the dual, min f @ y s.t. A^T y - s = 1, y, s >= 0, in an (n + 1)-row
@@ -22,7 +21,7 @@ below -_TOL is appended as a column, entries -(surplus block) @ a for its
 indicator a and reduced cost its slack, and the basis stays feasible.
 With no violated prefix left, x is optimal.  Pivots follow Bland's rule:
 almost every pivot of the larger LPs is degenerate, and the most negative
-reduced cost stalls there (3327 pivots against 46 on a 40 x 2 decode-all).
+reduced cost stalls there (568 pivots against 68 on a 40 x 3 decode-all).
 """
 
 from __future__ import annotations
@@ -34,9 +33,10 @@ import numpy as np
 from .errors import CapacityLimitError, SeisrateError
 
 _TOL = 1e-9
-# A call that reaches this cap ends about 1.3 s in at 267 geophones on 3
-# gateways (one BLAS thread, 2 vCPUs).  6-8 x 2 LPs take about 4 pivots,
-# 40 x 2 decode-all 38-89, and random assignments of 150 x 2 330-570.
+# A call that reaches this cap ends about 1.2 s in at 300 geophones on 3
+# gateways (one BLAS thread, 2 vCPUs).  Random assignments of 6-8 x 3 take
+# 2-10 pivots, 40 x 3 36-72 and 150 x 3 470-1420; 300 x 3 decode-all
+# takes 297, and a random 300 x 3 assignment reaches the cap.
 MAX_PIVOTS = 1500
 
 

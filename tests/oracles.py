@@ -24,7 +24,9 @@ it on the raw gains with numpy sums, and only for nonzero gains at
 gateway 1.  `reference_solve_lp` is the dual simplex loop that
 `simplex.solve_lp` replaced, all in numpy, and `reference_lp_value` builds
 its groups as `rates._lp_optimum` once did: every LP must get the same x
-and value bits from both.
+and value bits from both.  Up to two gateways the library no longer runs
+the simplex, and `reference_lp_value` is the LP value its closed form is
+checked against.
 """
 
 import itertools

@@ -408,6 +408,21 @@ class TestCornerRatesAndOrders:
             assert np.abs(corner_rates(gw, powers, order)
                           - sic_corner(gw, powers, order)).max() <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("powers, gains, order", [
+        # 4e307 W received over 1 mW of noise, an SNR of 4e310, when
+        # decoded last; decoded first, over 1 W more, it fits
+        ([1e307, 1.0], [2.0, 1.0], (1, 0)),
+        ([1e308, 1.0], [2.0, 1.0], (0, 1)),     # a received power of 4e308
+        ([1e308, 1e308], [1.0, 1.0], (0, 1)),   # their sum
+    ])
+    def test_out_of_float_range_raises(self, powers, gains, order):
+        gw = GatewayState(2, np.ones(2), gains, 1e-3)
+        with pytest.raises(CapacityLimitError, match="does not fit"):
+            corner_rates(gw, powers, order)
+        if order == (1, 0):
+            assert np.isfinite(corner_rates(gw, powers, (0, 1))).all()
+
     def test_large_received_powers_stay_finite(self):
         # a running suffix sum with each power subtracted once went below
         # zero here and made the interference term negative
@@ -615,6 +630,11 @@ class TestWeightedSum:
     def test_requires_positive_cap(self, small_buffer_gateways):
         with pytest.raises(ValueError):
             max_weighted_sum(small_buffer_gateways)
+
+    @pytest.mark.parametrize("cap", [np.nan, np.inf])
+    def test_rejects_non_finite_cap(self, small_buffer_gateways, cap):
+        with pytest.raises(ValueError, match="finite positive"):
+            max_weighted_sum(small_buffer_gateways, total_cap=cap)
 
     def test_rejects_bad_weights(self, large_buffer_gateways):
         with pytest.raises(ValueError):

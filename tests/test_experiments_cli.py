@@ -65,6 +65,14 @@ class TestExperimentSpec:
         assert spec.budgets == ((4, 6),)
         assert spec.replications == 2
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["gp_power_mw", "noise_power_mw"])
+    def test_non_finite_power_exits_invalid(self, tmp_path, capsys, key, value):
+        # json writes Infinity and NaN, and reads them back as floats
+        path = write_spec(tmp_path / "s.json", **{key: value})
+        assert main(["experiment", "run", str(path)]) == 2
+        assert f"spec field {key!r}: must be finite" in capsys.readouterr().err
+
     def test_missing_field_reported(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"budgets": [[2, 2]]}))
@@ -472,6 +480,30 @@ class TestCli:
                      "--weights", str(weights), "--total-cap-mw", "100"]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("cap_mw", ["nan", "inf"])
+    def test_stage2_weighted_non_finite_cap_exits_invalid(self, tmp_path, capsys,
+                                                          cap_mw):
+        inst = tmp_path / "gw.json"
+        assert main(["gen", "--kind", "gateways", "--gws", "3",
+                     "--out", str(inst)]) == 0
+        assert main(["stage2", "weighted", "--instance", str(inst),
+                     "--total-cap-mw", cap_mw]) == 2
+        captured = capsys.readouterr()
+        assert "finite positive total power cap" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_stage2_weighted_snr_past_the_float_range(self, tmp_path, capsys):
+        # 1e307 W on a gain of 2 over 1 mW of noise: an SNR of 4e310
+        inst = tmp_path / "gw.json"
+        inst.write_text(json.dumps({"kind": "gateways", "N": 2, "Q": [1.0, 1.0],
+                                    "G": [1.0, 2.0], "N0_mW": 1.0,
+                                    "Ptotal_max_W": 1e307}))
+        assert main(["stage2", "weighted", "--instance", str(inst)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("capacity exceeded: ")
+        assert captured.out == ""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("problem", ["min-total", "min-max"])

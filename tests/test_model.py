@@ -18,6 +18,57 @@ from seisrate.model import (
 )
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["gp_power", "noise_power"])
+def test_channel_rejects_non_finite(field, value):
+    fields = dict(num_gps=1, num_gws=1, gains=[[1.0]], gp_power=1e-3,
+                  noise_power=1e-3)
+    fields[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        ChannelMatrix(**fields)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["queue_rates", "gains", "noise_power",
+                                   "per_gw_power_cap", "total_power_cap"])
+def test_gateways_reject_non_finite(field, value):
+    fields = dict(num_gws=2, queue_rates=[1.0, 1.0], gains=[1.0, 2.0],
+                  noise_power=1e-3, per_gw_power_cap=1.0, total_power_cap=1.0)
+    fields[field] = [1.0, value] if field in ("queue_rates", "gains") else value
+    with pytest.raises(ValueError, match="finite"):
+        GatewayState(**fields)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gps", "3", "--gws", "2", "--p-mw", "nan"],
+    ["--gps", "3", "--gws", "2", "--n0-mw", "inf"],
+    ["--kind", "gateways", "--pmax-mw", "nan"],
+    ["--kind", "gateways", "--ptotal-max-mw", "inf"],
+])
+def test_gen_exits_invalid_on_non_finite(argv, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["gen", *argv, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, key", [("channel", "P_mW"), ("channel", "N0_mW"),
+                                       ("gateways", "Q"), ("gateways", "Pmax_mW")])
+def test_instance_file_with_non_finite_number(kind, key, tmp_path):
+    doc = ({"kind": "channel", "K": 1, "N": 1, "P_mW": 1.0, "N0_mW": 1.0,
+            "H": [[1.0]]} if kind == "channel" else
+           {"kind": "gateways", "N": 2, "Q": [1.0, 1.0], "G": [1.0, 2.0],
+            "N0_mW": 1.0, "Pmax_mW": 1.0})
+    doc[key] = [1.0, float("nan")] if key == "Q" else float("nan")
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceFormatError, match="finite"):
+        load_instance(path)
+
+
 class TestChannelMatrix:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from oracles import (
     best_corner_sum,
     link_capacity,
     lp_constraint_slacks,
+    reference_lp_value,
     sic_corner_rates,
     two_gateway_lp,
 )
@@ -24,7 +25,7 @@ from seisrate.rates import (
     DecodingAssignment,
     EvaluationMode,
     _active_mask,
-    _lp_optimum,
+    _gateway_weights,
     _lp_sum_rate,
     combine_bounds,
     evaluate_fixed_order,
@@ -36,6 +37,27 @@ from seisrate.rates import (
 
 MODE = EvaluationMode()
 MW = 1e-3
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def least_prefix_slack(channel, flags, mode, rates):
+    """The least slack log2(1 + w(S)) - x(S) over every gateway's decoded
+    sets S, the empty set (slack 0) included: the concave capacity puts
+    it on a prefix sorted by x_j / w_j, descending, as in the simplex's
+    separation."""
+    least = 0.0
+    for column, w in zip(flags.T, _gateway_weights(channel, flags, mode)):
+        order = sorted(column.nonzero()[0], key=lambda j: -rates[j] / w[j] if w[j]
+                       else -math.copysign(math.inf, rates[j]))
+        w_sum = x_sum = 0.0
+        for j in order:
+            w_sum += w[j]
+            x_sum += rates[j]
+            least = min(least, math.log2(1.0 + w_sum) - x_sum)
+    return least
 
 
 def reference_lp_sum(channel, flags, mode=MODE):
@@ -341,17 +363,33 @@ class TestEvaluateLp:
                 assert slacks.min() >= -1e-9
 
     def test_decoded_set_guard(self, monkeypatch):
-        # 22 decoded geophones, 4194303 subset rows if written out: the
-        # cuts reach the one-gateway optimum f(V), and a pivot cap below
-        # what they need raises CapacityLimitError
-        channel = random_channel(22, 1, 0)
-        f = DecodingAssignment.all_ones(22, 1)
+        # 22 geophones decoded at the first of three gateways, 4194303
+        # subset rows if written out: the cuts reach that gateway's
+        # optimum f(V), and a pivot cap below what they need raises
+        # CapacityLimitError
+        channel = random_channel(22, 3, 0)
+        flags = np.zeros((22, 3), dtype=np.int8)
+        flags[:, 0] = 1
+        f = DecodingAssignment(flags)
         _, total = evaluate_lp(channel, f, EvaluationMode(ORDER_LP))
         h2 = channel.gains[:, 0] ** 2
         assert total == pytest.approx(math.log2(1 + h2.sum()), rel=1e-12)
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 2)
         with pytest.raises(CapacityLimitError, match="more than 2 simplex pivots"):
             evaluate_lp(channel, f, EvaluationMode(ORDER_LP))
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_random_300_by_2_assignment(self, scenario):
+        # once past the simplex's pivot cap; now two corners, a feasible
+        # rate vector at the oracle's value
+        channel = random_channel(300, 2, 1)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        flags = np.random.default_rng(1).random((300, 2)) < 0.5
+        rv, total = evaluate_lp(channel, DecodingAssignment(flags), mode)
+        assert total == pytest.approx(two_gateway_lp(channel, flags, mode),
+                                      rel=1e-12)
+        assert rv.sum_rate == pytest.approx(total, rel=1e-12)
+        assert least_prefix_slack(channel, flags, mode, rv.rates) >= -1e-12
 
     @pytest.mark.parametrize("scenario", [1, 2])
     def test_matches_two_gateway_oracle_at_the_cap(self, scenario):
@@ -471,22 +509,34 @@ class TestLpSubsetRows:
 
 
 class TestLpSumRate:
-    """_lp_sum_rate, closed form up to two gateways, against the simplex
-    (_lp_optimum), the two-gateway oracle and, up to 10 geophones, scipy
-    over every subset row: all to 1e-12 relative."""
+    """_lp_sum_rate, closed form up to two gateways, against the reference
+    simplex, the two-gateway oracle and, up to 10 geophones, scipy over
+    every subset row: all to 1e-12 relative.  evaluate_lp's value has the
+    same bits, and its two-corner rates attain it: they are 0 where
+    nothing is decoded, sum to the value to 1e-12 relative and meet every
+    subset row to 1e-12, by the ratio-prefix separation and, up to 10
+    geophones, by writing every row out."""
 
     @staticmethod
     def check(channel, flags, mode):
         value = _lp_sum_rate(channel, flags, mode)
-        assert value == pytest.approx(_lp_optimum(channel, flags, mode)[1],
+        assert value == pytest.approx(reference_lp_value(channel, flags, mode),
                                       rel=1e-12)
         # the oracle divides by the gains at gateway 1
         if channel.num_gws == 2 and channel.gains[:, 0].all():
             assert value == pytest.approx(two_gateway_lp(channel, flags, mode),
                                           rel=1e-12)
+        assignment = DecodingAssignment(flags)
+        rv, total = evaluate_lp(channel, assignment, mode)
+        assert _same_bits(total, value)
+        assert not rv.rates[~flags.any(axis=1)].any()
+        assert rv.sum_rate == pytest.approx(value, rel=1e-12)
+        assert least_prefix_slack(channel, flags, mode, rv.rates) >= -1e-12
         if channel.num_gps <= 10:
             assert value == pytest.approx(reference_lp_sum(channel, flags, mode),
                                           rel=1e-12)
+            slacks = lp_constraint_slacks(channel, assignment, rv, mode)
+            assert slacks.size == 0 or slacks.min() >= -1e-12
         return value
 
     @given(k=st.integers(1, 40), n=st.integers(1, 2), scenario=st.sampled_from([1, 2]),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import random_channel
 from oracles import brute_force_exhaustive, reference_lp_value
+import seisrate.rates
 import seisrate.search
+from seisrate.cli import main
 from seisrate.errors import CapacityLimitError
 from seisrate.rates import (
     ORDER_LP,
@@ -25,7 +28,6 @@ from seisrate.search import (
     ES_VALUES_CAP,
     LP_EXHAUSTIVE_CAP,
     AcoParams,
-    PsoParams,
     SearchBudget,
     _aco_probabilities,
     _block_bounds,
@@ -45,7 +47,7 @@ from seisrate.search import (
     sigmoid,
     simulated_annealing,
 )
-from seisrate.model import ChannelMatrix
+from seisrate.model import ChannelMatrix, save_instance
 
 STOCHASTIC = ["dpso", "ampso", "as", "mmas", "sa"]
 
@@ -309,8 +311,8 @@ class TestAlgorithmContracts:
 
 class TestObjectiveUnderLp:
     """Searches under lp take every value from rates._lp_sum_rate: its
-    closed form up to two gateways, agreeing with the simplex's
-    evaluate_lp to 1e-12 relative, and the simplex's own bits beyond."""
+    closed form up to two gateways, with evaluate_lp's bits, and the
+    simplex's own bits beyond."""
 
     @staticmethod
     def mixed_batch(k, n, seed):
@@ -334,7 +336,7 @@ class TestObjectiveUnderLp:
         for flags, value in zip(batch, sums):
             assert _same_bits(value, _lp_sum_rate(channel, flags, mode))
             want = evaluate_lp(channel, DecodingAssignment(flags), mode)[1]
-            assert value == pytest.approx(want, rel=1e-12)
+            assert _same_bits(value, want)
         t = int(np.argmax(sums))
         assert objective.best_sum == sums[t]
         assert np.array_equal(objective.best_flags, batch[t])
@@ -393,7 +395,7 @@ class TestObjectiveUnderLp:
         for flags, value in zip(batch.reshape(-1, 4, 2), sums):
             assert _same_bits(value, _lp_sum_rate(channel, flags, mode))
             want = evaluate_lp(channel, DecodingAssignment(flags), mode)[1]
-            assert value == pytest.approx(want, rel=1e-12)
+            assert _same_bits(value, want)
 
     @pytest.mark.parametrize("scenario", [1, 2])
     @pytest.mark.parametrize("k", [4, 5])
@@ -409,6 +411,59 @@ class TestObjectiveUnderLp:
         assert values.tobytes() == np.array(want).tobytes()
         simplex = [reference_lp_value(channel, f, mode) for f in flags]
         assert values == pytest.approx(simplex, rel=1e-12)
+
+
+class _SimplexReached(Exception):
+    pass
+
+
+class TestNoSimplexUpToTwoGateways:
+    """Up to two gateways no exact-LP path reaches the simplex: with
+    rates.solve_lp patched to raise, evaluate_lp, _lp_sum_rate, an lp
+    search through the CLI and lp-exact ES still run.  At three gateways
+    the patched call raises."""
+
+    @pytest.fixture(autouse=True)
+    def no_simplex(self, monkeypatch):
+        def solve_lp(groups):
+            raise _SimplexReached
+        monkeypatch.setattr(seisrate.rates, "solve_lp", solve_lp)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_lp_path_runs(self, n, scenario, tmp_path, capsys):
+        channel = random_channel(5, n, 60 + n)
+        mode = EvaluationMode.scenario(scenario, ORDER_LP)
+        flags = np.random.default_rng(n).random((5, n)) < 0.6
+        _, total = evaluate_lp(channel, DecodingAssignment(flags), mode)
+        assert _same_bits(total, _lp_sum_rate(channel, flags, mode))
+        assignment, best = exhaustive_search(channel, mode)
+        assert _same_bits(best, evaluate_lp(channel, assignment, mode)[1])
+        path = tmp_path / "channel.json"
+        save_instance(channel, path)
+        assert main(["stage1", "optimize", "--instance", str(path), "--algo", "sa",
+                     "--evaluator", "lp", "--scenario", str(scenario),
+                     "-M", "3", "-I", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["best_sum_rate"] > 0
+
+    def test_three_gateways_reach_it(self):
+        channel = random_channel(5, 3, 63)
+        mode = EvaluationMode.scenario(1, ORDER_LP)
+        with pytest.raises(_SimplexReached):
+            evaluate_lp(channel, DecodingAssignment.all_ones(5, 3), mode)
+        with pytest.raises(_SimplexReached):
+            _lp_sum_rate(channel, np.ones((5, 3), bool), mode)
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_evaluate_lp_is_the_exhaustive_optimum(scenario):
+    # one exact-LP value up to two gateways: evaluate_lp of lp-exact ES's
+    # assignment is its optimum, bit for bit
+    mode = EvaluationMode.scenario(scenario, ORDER_LP)
+    for seed in range(1, 13):
+        channel = random_channel(6, 2, seed)
+        assignment, best = exhaustive_search(channel, mode)
+        assert _same_bits(evaluate_lp(channel, assignment, mode)[1], best)
 
 
 def _same_bits(a, b):

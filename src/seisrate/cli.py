@@ -8,6 +8,7 @@ Subcommands:
   experiment gw-sizing
 
 Exit codes: 0 success, 2 invalid input, 3 infeasible, 4 capacity exceeded.
+A reader that closes stdout early (`| head`) is not an error: exit 0.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -43,7 +45,7 @@ from .model import (
     save_instance,
 )
 from .rates import evaluation_mode
-from .search import ALGORITHMS, AcoParams, SearchBudget, run_algorithm
+from .search import ALGORITHMS, HEURISTICS, AcoParams, SearchBudget, run_algorithm
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -228,7 +230,7 @@ def build_parser():
     opt.add_argument("--iters", "-I", type=int, default=30)
     opt.add_argument("--sa-tmax", type=float, default=None)
     opt.add_argument("--aco-heuristic", default="gw-average",
-                     choices=("none", "gw-average", "gw-average+gp-deactivation"))
+                     choices=HEURISTICS)
     opt.add_argument("--evaporation", type=float, default=0.1)
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--out", default=None)
@@ -279,7 +281,14 @@ def main(argv=None):
 
 
 def cli_entry():
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; devnull on fd 1 keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_OK
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

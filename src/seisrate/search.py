@@ -80,9 +80,16 @@ _BOUND_ROWS = 1 << 12
 HEURISTIC_NONE = "none"
 HEURISTIC_GW_AVERAGE = "gw-average"
 HEURISTIC_GW_AVERAGE_DEACTIVATION = "gw-average+gp-deactivation"
+HEURISTICS = (HEURISTIC_NONE, HEURISTIC_GW_AVERAGE, HEURISTIC_GW_AVERAGE_DEACTIVATION)
 
 # pheromone shift for turning clamped values into valid probabilities
 _TAU_SHIFT_EPS = 1e-6
+
+# ACO: the pheromone bounds (MMAS's start and clamp; TAU_MIN also shifts
+# the pheromones), the deactivation prior's gain percentile and eta_0 boost
+TAU_MIN, TAU_MAX = -7.0, 7.0
+DEACTIVATION_PERCENTILE = 25.0
+DEACTIVATION_BOOST = 4.0
 
 # PSO: cognitive and social acceleration, ampso's inertia, and the
 # velocity clamp of each variant
@@ -135,25 +142,13 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class AcoParams:
-    alpha: float = 1.0
-    beta: float = 1.0
     evaporation: float = 0.1
-    tau_max: float = 7.0
-    tau_min: float = -7.0
     heuristic_mode: str = HEURISTIC_NONE
-    deactivation_percentile: float = 25.0
-    deactivation_boost: float = 4.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
         if not 0.0 <= self.evaporation <= 1.0:
             raise ValueError("evaporation must be in [0, 1]")
-        if self.tau_min >= self.tau_max:
-            raise ValueError("tau_min must be below tau_max")
-        if self.heuristic_mode not in (
-            HEURISTIC_NONE, HEURISTIC_GW_AVERAGE, HEURISTIC_GW_AVERAGE_DEACTIVATION
-        ):
+        if self.heuristic_mode not in HEURISTICS:
             raise ValueError(f"unknown heuristic_mode {self.heuristic_mode!r}")
 
 
@@ -327,7 +322,7 @@ def _flag_matrices(indices, k, n):
     return bits.reshape(-1, k, n)
 
 
-def _pattern_table(channel, inner, silent):
+def _pattern_table(channel, inner, policy):
     """Per gateway, the distinct column patterns of the inner block.
 
     A geophone's digit at gateway i is 0 (silent), 1 (decoded there) or
@@ -336,7 +331,7 @@ def _pattern_table(channel, inner, silent):
     (P, K) flags of each pattern and the pattern row of every inner
     assignment.
     """
-    transmitting = inner.any(axis=2) if silent else np.zeros(inner.shape[:2], bool)
+    transmitting = _active_mask(inner, policy)
     table = []
     for i in range(channel.num_gws):
         decoded = inner[:, :, i]
@@ -349,7 +344,7 @@ def _pattern_table(channel, inner, silent):
     return table
 
 
-def _table_sums(channel, table, outer, silent):
+def _table_sums(channel, table, outer, policy):
     """For each outer assignment, the sum-rates of it joined with every
     inner one, as one array that the next block overwrites.
 
@@ -365,9 +360,7 @@ def _table_sums(channel, table, outer, silent):
     size = len(table[0][2])
     rate, gathered, sums = np.empty(size), np.empty(size), np.empty(size)
     finite = np.empty(size, dtype=bool)
-    for outer_flags in outer:
-        transmitting = (outer_flags.any(axis=1) if silent
-                        else np.ones(channel.num_gps, bool))
+    for outer_flags, transmitting in zip(outer, _active_mask(outer, policy)):
         bounds = [gateway_bounds(channel, i, decoded | outer_flags[:, i],
                                  pattern_tx | transmitting)
                   for i, (decoded, pattern_tx, _) in enumerate(table)]
@@ -528,13 +521,13 @@ def exhaustive_search(channel, mode=EvaluationMode()):
         block_sums = (np.array([_lp_sum_rate(channel, flags, mode)
                                 for flags in block | inner]) for block in outer)
     else:
-        silent = mode.undecoded_gp_policy == UNDECODED_SILENT
-        table = _pattern_table(channel, inner, silent)
+        policy = mode.undecoded_gp_policy
+        table = _pattern_table(channel, inner, policy)
         if values is None:
             fixed = (np.arange(k * n) < k * n - inner_bits).reshape(k, n)
-            bounds = _block_bounds(channel, outer, fixed, silent)
+            bounds = _block_bounds(channel, outer, fixed, policy == UNDECODED_SILENT)
             order = np.argsort(-bounds, kind="stable")
-        block_sums = _table_sums(channel, table, outer[order], silent)
+        block_sums = _table_sums(channel, table, outer[order], policy)
     best_sum, best_block, best_flags = -np.inf, None, None
     for block in order:
         if bounds[block] * (1 + 1e-9) < best_sum:
@@ -639,22 +632,22 @@ def ampso(channel, budget, mode=EvaluationMode(), es_values=None):
     return objective.trace("ampso")
 
 
-def build_heuristic(channel, heuristic_mode,
-                    deactivation_percentile=25.0, deactivation_boost=4.0):
+def build_heuristic(channel, heuristic_mode):
     """Per-bit prior table eta with shape (2, K*N); row c is the preference
     for choosing bit value c on link d = j*N + i.
 
     gw-average: eta_1 is the link gain, eta_0 the average of the other
     gains at the same gateway, both scaled by the gateway's normalized
     average gain.  The deactivation variant additionally boosts eta_0 on
-    every link of geophones whose gains are all below the given percentile
-    of the gain pool, steering the search towards switching them off.
+    every link of geophones whose gains are all below the
+    DEACTIVATION_PERCENTILE percentile of the gain pool, by
+    DEACTIVATION_BOOST, steering the search towards switching them off.
     """
     k, n = channel.num_gps, channel.num_gws
+    if heuristic_mode not in HEURISTICS:
+        raise ValueError(f"unknown heuristic_mode {heuristic_mode!r}")
     if heuristic_mode == HEURISTIC_NONE:
         return np.ones((2, k * n))
-    if heuristic_mode not in (HEURISTIC_GW_AVERAGE, HEURISTIC_GW_AVERAGE_DEACTIVATION):
-        raise ValueError(f"unknown heuristic_mode {heuristic_mode!r}")
     h = channel.gains
     eta1 = h.copy()
     if k > 1:
@@ -666,52 +659,50 @@ def build_heuristic(channel, heuristic_mode,
     eta1 = eta1 * gw_weight
     eta0 = eta0 * gw_weight
     if heuristic_mode == HEURISTIC_GW_AVERAGE_DEACTIVATION:
-        threshold = np.percentile(h, deactivation_percentile)
+        threshold = np.percentile(h, DEACTIVATION_PERCENTILE)
         weak = (h < threshold).all(axis=1)
-        eta0[weak] *= deactivation_boost
+        eta0[weak] *= DEACTIVATION_BOOST
     eta = np.stack([eta0.reshape(-1), eta1.reshape(-1)])
     # zero preferences would make Eq.-style probabilities ill-defined
     return np.maximum(eta, _TAU_SHIFT_EPS)
 
 
-def _aco_probabilities(tau, eta, params):
-    """Probability of bit value 1 per link, from shifted pheromones."""
-    shifted = tau - params.tau_min + _TAU_SHIFT_EPS
-    weight = shifted ** params.alpha * eta ** params.beta
+def _aco_probabilities(tau, eta):
+    """Probability of bit value 1 per link, from shifted pheromones and the
+    prior, weighted alike (alpha = beta = 1)."""
+    weight = (tau - TAU_MIN + _TAU_SHIFT_EPS) * eta
     return weight[1] / weight.sum(axis=0)
 
 
-def _aco_run(channel, budget, params, mode, best_ant_only, clamp, name,
-             observer=None, es_values=None):
+def _aco_run(channel, budget, params, mode, max_min, observer=None,
+             es_values=None):
+    """AS, or MMAS when max_min: best-ant deposit, TAU_MAX start, clamp."""
     rng = budget.rng()
     objective = _Objective(channel, mode, es_values)
     m, d = budget.population, channel.num_gps * channel.num_gws
-    eta = build_heuristic(channel, params.heuristic_mode,
-                          params.deactivation_percentile,
-                          params.deactivation_boost)
-    tau = np.full((2, d), params.tau_max if clamp else 1.0)
+    eta = build_heuristic(channel, params.heuristic_mode)
+    tau = np.full((2, d), TAU_MAX if max_min else 1.0)
 
     for _ in range(budget.iterations):
-        p1 = _aco_probabilities(tau, eta, params)
+        p1 = _aco_probabilities(tau, eta)
         bits = (rng.random((m, d)) < p1).astype(np.int8)
         vals = objective.batch(bits)
         objective.record()
         tau *= 1.0 - params.evaporation
         denom = objective.best_sum if objective.best_sum > 0 else 1.0
-        if best_ant_only:
+        if max_min:
             r = int(np.argmax(vals))
             deposit = max(float(vals[r]), 0.0) / denom
             tau[1] += deposit * bits[r]
             tau[0] += deposit * (1 - bits[r])
+            np.clip(tau, TAU_MIN, TAU_MAX, out=tau)
         else:
             deposits = np.maximum(vals, 0.0) / denom
             tau[1] += deposits @ bits
             tau[0] += deposits @ (1 - bits)
-        if clamp:
-            np.clip(tau, params.tau_min, params.tau_max, out=tau)
         if observer is not None:
             observer(tau.copy())
-    return objective.trace(name)
+    return objective.trace("mmas" if max_min else "as")
 
 
 def ant_system(channel, budget, aco_params=AcoParams(), mode=EvaluationMode(),
@@ -721,21 +712,19 @@ def ant_system(channel, budget, aco_params=AcoParams(), mode=EvaluationMode(),
     observer, if given, receives a copy of the pheromone table after each
     iteration (instrumentation only; does not affect the search).
     """
-    return _aco_run(channel, budget, aco_params, mode,
-                    best_ant_only=False, clamp=False, name="as",
+    return _aco_run(channel, budget, aco_params, mode, max_min=False,
                     observer=observer, es_values=es_values)
 
 
 def max_min_ant_system(channel, budget, aco_params=AcoParams(),
                        mode=EvaluationMode(), observer=None, es_values=None):
     """Max-min ant system: only the iteration-best ant deposits, and the
-    pheromones stay clamped inside [tau_min, tau_max].
+    pheromones stay clamped inside [TAU_MIN, TAU_MAX].
 
     observer, if given, receives a copy of the pheromone table after each
     iteration (instrumentation only; does not affect the search).
     """
-    return _aco_run(channel, budget, aco_params, mode,
-                    best_ant_only=True, clamp=True, name="mmas",
+    return _aco_run(channel, budget, aco_params, mode, max_min=True,
                     observer=observer, es_values=es_values)
 
 

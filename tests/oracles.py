@@ -27,6 +27,12 @@ its groups as `rates._lp_optimum` once did: every LP must get the same x
 and value bits from both.  Up to two gateways the library no longer runs
 the simplex, and `reference_lp_value` is the LP value its closed form is
 checked against.
+
+`reference_aco_run` is the ant-colony loop the library ran while alpha,
+beta, the pheromone bounds and the deactivation settings were settable:
+every one of them an argument here, with the library's values as
+defaults.  It shares the library's objective, since the colonies must
+reproduce its traces bit for bit.
 """
 
 import itertools
@@ -36,6 +42,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from seisrate.rates import UNDECODED_SILENT, evaluate_fixed_order_batch
+from seisrate.search import _Objective
 from seisrate.simplex import _TOL, _violated_prefixes
 
 LN2 = math.log(2.0)
@@ -548,3 +555,59 @@ def reference_lp_value(channel, flags, mode):
             groups.append((variables.searchsorted(decoded).tolist(),
                            (p * h2[decoded, i] / noise).tolist()))
     return reference_solve_lp(groups)[1]
+
+
+def reference_heuristic(channel, heuristic_mode, deactivation_percentile=25.0,
+                        deactivation_boost=4.0):
+    """The (2, K*N) ACO prior, row c the preference for bit value c."""
+    k, n = channel.num_gps, channel.num_gws
+    if heuristic_mode == "none":
+        return np.ones((2, k * n))
+    h = channel.gains
+    eta1 = h.copy()
+    eta0 = (h.sum(axis=0, keepdims=True) - h) / (k - 1) if k > 1 else np.ones_like(h)
+    gw_avg = h.mean(axis=0)
+    gw_weight = gw_avg / gw_avg.max() if gw_avg.max() > 0 else np.ones(n)
+    eta1 = eta1 * gw_weight
+    eta0 = eta0 * gw_weight
+    if heuristic_mode == "gw-average+gp-deactivation":
+        weak = (h < np.percentile(h, deactivation_percentile)).all(axis=1)
+        eta0[weak] *= deactivation_boost
+    return np.maximum(np.stack([eta0.reshape(-1), eta1.reshape(-1)]), 1e-6)
+
+
+def reference_aco_run(channel, budget, mode, best_ant_only, clamp, name,
+                      heuristic_mode="none", evaporation=0.1, alpha=1.0,
+                      beta=1.0, tau_min=-7.0, tau_max=7.0,
+                      deactivation_percentile=25.0, deactivation_boost=4.0):
+    """The ant system (every ant deposits, no clamp) or MMAS (best_ant_only
+    and clamp, pheromones starting at tau_max): per iteration, M ants draw
+    bit 1 with probability w_1 / (w_0 + w_1), w_c = (tau_c - tau_min +
+    1e-6)^alpha * eta_c^beta, then the pheromones evaporate and take the
+    deposits of the ants' values over the best so far."""
+    rng = budget.rng()
+    objective = _Objective(channel, mode)
+    m, d = budget.population, channel.num_gps * channel.num_gws
+    eta = reference_heuristic(channel, heuristic_mode, deactivation_percentile,
+                              deactivation_boost)
+    tau = np.full((2, d), tau_max if clamp else 1.0)
+    for _ in range(budget.iterations):
+        weight = (tau - tau_min + 1e-6) ** alpha * eta ** beta
+        p1 = weight[1] / weight.sum(axis=0)
+        bits = (rng.random((m, d)) < p1).astype(np.int8)
+        vals = objective.batch(bits)
+        objective.record()
+        tau *= 1.0 - evaporation
+        denom = objective.best_sum if objective.best_sum > 0 else 1.0
+        if best_ant_only:
+            r = int(np.argmax(vals))
+            deposit = max(float(vals[r]), 0.0) / denom
+            tau[1] += deposit * bits[r]
+            tau[0] += deposit * (1 - bits[r])
+        else:
+            deposits = np.maximum(vals, 0.0) / denom
+            tau[1] += deposits @ bits
+            tau[0] += deposits @ (1 - bits)
+        if clamp:
+            np.clip(tau, tau_min, tau_max, out=tau)
+    return objective.trace(name)

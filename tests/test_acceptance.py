@@ -39,6 +39,8 @@ from seisrate.rates import (
     search_space_size,
 )
 from seisrate.search import (
+    TAU_MAX,
+    TAU_MIN,
     AcoParams,
     SearchBudget,
     exhaustive_search,
@@ -562,15 +564,14 @@ def _invariants_search(failures):
         if failures:
             break
     _check(failures, failures or runs == 1000, f"expected 1000 runs, got {runs}")
-    params = AcoParams()
     tables = []
     for rep in range(10):
         channel = random_channel(3, 2, 160_000 + rep)
-        max_min_ant_system(channel, SearchBudget(2, 100, seed=rep), params,
+        max_min_ant_system(channel, SearchBudget(2, 100, seed=rep), AcoParams(),
                            observer=tables.append)
     _check(failures, len(tables) == 1000, "expected 1000 pheromone snapshots")
     for tau in tables:
-        if tau.min() < params.tau_min - 1e-12 or tau.max() > params.tau_max + 1e-12:
+        if tau.min() < TAU_MIN - 1e-12 or tau.max() > TAU_MAX + 1e-12:
             failures.append("pheromones escaped the clamp")
             break
 

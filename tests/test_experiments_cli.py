@@ -2,6 +2,9 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import min_max_lp, weighted_kkt_gap, weighted_objective
-from seisrate import experiments, simplex
+from seisrate import cli, experiments, simplex
 from seisrate.cli import build_parser, main
 from seisrate.errors import CapacityLimitError, InstanceFormatError
 from seisrate.experiments import ExperimentSpec, GwSizingSpec, run_experiment, run_gw_sizing
@@ -394,6 +397,26 @@ class TestGwSizing:
 
 
 class TestCli:
+    def test_closed_stdout_pipe_exits_zero(self, tmp_path):
+        """A reader that stops after the first line, as `| head -1` does,
+        leaves the run a success: exit 0, nothing on stderr."""
+        instance = tmp_path / "g.json"
+        assert main(["gen", "--kind", "gateways", "--gws", "512", "--seed", "1",
+                     "--out", str(instance)]) == 0
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # the answer holds a 512-entry schedule, far past a pipe's buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seisrate.cli", "stage2", "min-max",
+             "--instance", str(instance)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert stderr == b""
+
     def test_gen_and_stage1_round_trip(self, tmp_path, capsys):
         inst = tmp_path / "ch.json"
         assert main(["gen", "--kind", "channel", "--gps", "3", "--gws", "2",

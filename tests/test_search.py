@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_channel
-from oracles import brute_force_exhaustive, reference_lp_value
+from oracles import brute_force_exhaustive, reference_aco_run, reference_lp_value
 import seisrate.rates
 import seisrate.search
 from seisrate.cli import main
@@ -183,22 +183,42 @@ class TestHeuristic:
 
 class TestAcoProbabilities:
     def test_symmetric_state_is_half(self):
-        params = AcoParams()
         tau = np.full((2, 6), 3.0)
         eta = np.ones((2, 6))
-        assert _aco_probabilities(tau, eta, params) == pytest.approx([0.5] * 6)
+        assert _aco_probabilities(tau, eta) == pytest.approx([0.5] * 6)
 
     def test_clamped_extremes_saturate(self):
-        params = AcoParams()
-        tau = np.stack([np.full(4, params.tau_min), np.full(4, params.tau_max)])
-        p1 = _aco_probabilities(tau, np.ones((2, 4)), params)
+        tau = np.stack([np.full(4, seisrate.search.TAU_MIN),
+                        np.full(4, seisrate.search.TAU_MAX)])
+        p1 = _aco_probabilities(tau, np.ones((2, 4)))
         assert np.all(p1 > 1.0 - 1e-6)
 
-    def test_beta_zero_ignores_heuristic(self):
-        params = AcoParams(beta=0.0)
-        tau = np.full((2, 3), 2.0)
-        eta = np.stack([np.full(3, 9.0), np.full(3, 0.1)])
-        assert _aco_probabilities(tau, eta, params) == pytest.approx([0.5] * 3)
+
+@pytest.mark.parametrize("evaluator, shape", [("fixed-order", (8, 3)), ("lp", (5, 2))])
+@pytest.mark.parametrize("scenario", [1, 2])
+@pytest.mark.parametrize("heuristic", ["none", "gw-average", "gw-average+gp-deactivation"])
+def test_colonies_match_the_reference_aco(evaluator, shape, scenario, heuristic):
+    """AS and MMAS with alpha = beta = 1 and the module's pheromone and
+    deactivation constants are the parametrized reference loop at its
+    defaults, bit for bit."""
+    channel = random_channel(*shape, 2)  # both with a weak geophone
+    mode = evaluation_mode(evaluator, scenario)
+    budget = SearchBudget(population=6, iterations=12, seed=3)
+    for evaporation in (0.0, 0.1, 1.0):
+        params = AcoParams(evaporation=evaporation, heuristic_mode=heuristic)
+        for search, max_min in ((ant_system, False), (max_min_ant_system, True)):
+            trace = search(channel, budget, params, mode)
+            expected = reference_aco_run(
+                channel, budget, mode, best_ant_only=max_min, clamp=max_min,
+                name="mmas" if max_min else "as", heuristic_mode=heuristic,
+                evaporation=evaporation)
+            assert trace.algorithm == expected.algorithm
+            assert trace.best_per_iteration.tobytes() == \
+                expected.best_per_iteration.tobytes()
+            assert np.array_equal(trace.best_assignment.flags,
+                                  expected.best_assignment.flags)
+            assert trace.best_sum_rate == expected.best_sum_rate
+            assert trace.evaluations == expected.evaluations
 
 
 def test_sa_acceptance_probability():
@@ -283,15 +303,14 @@ class TestAlgorithmContracts:
         assert trace.best_sum_rate > 0
 
     def test_mmas_pheromones_stay_clamped(self, paper_channel):
-        params = AcoParams()
         tables = []
         budget = SearchBudget(population=6, iterations=30, seed=2)
-        max_min_ant_system(paper_channel, budget, params,
+        max_min_ant_system(paper_channel, budget, AcoParams(),
                            observer=tables.append)
         assert len(tables) == 30
         for tau in tables:
-            assert tau.min() >= params.tau_min - 1e-12
-            assert tau.max() <= params.tau_max + 1e-12
+            assert tau.min() >= seisrate.search.TAU_MIN - 1e-12
+            assert tau.max() <= seisrate.search.TAU_MAX + 1e-12
 
     def test_observer_does_not_change_result(self, paper_channel):
         budget = SearchBudget(population=5, iterations=10, seed=4)

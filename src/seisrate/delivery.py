@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityLimitError, DecompositionError, InfeasibleProblemError
-
-LN2 = math.log(2.0)
+from .model import _fields_equal, _frozen_array
+from .simplex import LN2, capacity, prefix_slacks
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,20 +37,16 @@ class PowerAllocation:
     powers: np.ndarray
 
     def __post_init__(self):
-        powers = np.array(self.powers, dtype=float)
+        powers = _frozen_array(self.powers)
         if powers.ndim != 1 or np.any(powers < 0):
             raise ValueError("powers must be a nonnegative vector")
-        powers.setflags(write=False)
         object.__setattr__(self, "powers", powers)
 
     @property
     def total(self):
         return float(self.powers.sum())
 
-    def __eq__(self, other):
-        if not isinstance(other, PowerAllocation):
-            return NotImplemented
-        return np.array_equal(self.powers, other.powers)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -238,65 +234,54 @@ def corner_rates(gateways, powers, order):
     return rates
 
 
-def _capacity(received, noise):
-    """log2(1 + received / noise), the rate of a set with that received power."""
-    return math.log1p(received / noise) / LN2
-
-
 def _tightest_prefix(items, rates, received, noise):
-    """(order, k, slack): the proper prefix order[:k] of the items sorted
-    by rates_i / w_i descending with the least slack f(S) - rates(S).
+    """(order, w, k, slack): the order and prefix weights of
+    simplex.prefix_slacks over the items, and the proper prefix order[:k]
+    with the least slack f(S) - rates(S), the first if several tie.
 
-    f(S) = log2(1 + w(S)/noise) is a strictly concave function of the
-    modular w(S), so over all subsets f(S) - rates(S) is least at such a
-    prefix.  For rates on the base, where the empty and the full set have
-    slack 0, order[:k] is thus a most violated set if any is violated and
-    a tight set if any is tight.
+    Over all subsets, f(S) - rates(S) with f(S) = log2(1 + w(S)/noise) is
+    least at a prefix of that order or at the empty set.  For rates on the
+    base, where the empty and the full set have slack 0, order[:k] is thus
+    a most violated set if any is violated and a tight set if any is tight.
     """
-    order = sorted(items, key=lambda i: -rates[i] / received[i])
-    best_k, best = 0, math.inf
-    w = r = 0.0
-    for k, i in enumerate(order[:-1], 1):
-        w += received[i]
-        r += rates[i]
-        slack = _capacity(w, noise) - r
-        if slack < best:
-            best_k, best = k, slack
-    return order, best_k, best
+    order, w, slacks = prefix_slacks(items, rates, received, noise)
+    k, least = 0, math.inf
+    for t, slack in enumerate(slacks[:-1], 1):
+        if slack < least:
+            k, least = t, slack
+    return order, w, k, least
 
 
 def _line_search(items, vertex, rates, received, noise):
     """Move from the vertex v, a dict of corner rates, through `rates` as
     far as the region allows: z = rates + alpha (rates - v) for the
     largest alpha, found by Newton (Dinkelbach) steps on the prefix
-    separator from the best singleton bound.  Returns (alpha, z's order, k)
-    with z's prefix of length k tight, so rates = (z + alpha v) / (1 + alpha),
-    or None when no step leaves v: rates <= v with equal sums up to
-    rounding, so v alone is the mix."""
+    separator from the best singleton bound.  Returns (alpha, z's order,
+    its prefix weights, k) with z's prefix of length k tight, so
+    rates = (z + alpha v) / (1 + alpha), or None when no step leaves v:
+    rates <= v with equal sums up to rounding, so v alone is the mix."""
     step = {i: rates[i] - vertex[i] for i in items}
-    alpha = min(((_capacity(received[i], noise) - rates[i]) / step[i]
+    alpha = min(((capacity(received[i], noise) - rates[i]) / step[i]
                  for i in items if step[i] > 0), default=None)
     while alpha is not None:
         z = {i: rates[i] + alpha * step[i] for i in items}
-        z_order, k, slack = _tightest_prefix(items, z, received, noise)
+        z_order, w, k, slack = _tightest_prefix(items, z, received, noise)
         if slack >= 0:
-            return alpha, z_order, k
+            return alpha, z_order, w, k
         tight = z_order[:k]
-        shorter = ((_capacity(sum(received[i] for i in tight), noise)
-                    - sum(rates[i] for i in tight))
+        shorter = ((capacity(w[k - 1], noise) - sum(rates[i] for i in tight))
                    / sum(step[i] for i in tight))
         if not shorter < alpha:  # no progress left but rounding
-            return alpha, z_order, k
+            return alpha, z_order, w, k
         alpha = shorter
     return None
 
 
-def _split(order, k, received, noise):
-    """[(order[:k], noise), (order[k:], noise + w(order[:k]))]: the prefix
-    is decoded after the rest, which sees it as noise.  Pushed on a stack,
-    the rest comes off first."""
-    tight = order[:k]
-    return [(tight, noise), (order[k:], noise + sum(received[i] for i in tight))]
+def _split(order, w, k, noise):
+    """[(order[:k], noise), (order[k:], noise + w[k - 1])] for the prefix
+    weights w of prefix_slacks: the prefix is decoded after the rest,
+    which sees it as noise.  Pushed on a stack, the rest comes off first."""
+    return [(order[:k], noise), (order[k:], noise + w[k - 1])]
 
 
 def _decompose(items, rates, received, noise, tol):
@@ -308,10 +293,12 @@ def _decompose(items, rates, received, noise, tol):
     blocks decoded after it.  A new block with a prefix tight to within
     tol splits there at once; any other steps from its vertex v onto a
     tight set of z, so its rates are (z + alpha v) / (1 + alpha).  The
-    smallest alpha gives the joint vertex alpha / (1 + alpha) of the time
-    left, from the end of the schedule back.  Its block splits at its
-    tight set, and every other block keeps its vertex for the rest of its
-    step, (alpha_b - alpha) / (1 + alpha).
+    greedy order and the prefix weights that give v, and every split, come
+    from one prefix_slacks scan.  The smallest alpha gives the joint
+    vertex alpha / (1 + alpha) of the time left, from the end of the
+    schedule back.  Its block splits at its tight set, and every other
+    block keeps its vertex for the rest of its step,
+    (alpha_b - alpha) / (1 + alpha).
     """
     rates = dict(rates)  # each block's rates move to its z
     chain, at, todo = [], 0, [(items, noise)]
@@ -322,14 +309,13 @@ def _decompose(items, rates, received, noise, tol):
             items, noise = todo.pop()
             order, alpha, cut = tuple(items), math.inf, None
             if len(items) > 1:
-                order, k, slack = _tightest_prefix(items, rates, received, noise)
+                order, w, k, slack = _tightest_prefix(items, rates, received, noise)
                 if slack <= tol:
-                    todo += _split(order, k, received, noise)
+                    todo += _split(order, w, k, noise)
                     continue
-                vertex, w = {}, 0.0
-                for i in order:  # the first of the greedy order is decoded last
-                    vertex[i] = _capacity(received[i], noise + w)
-                    w += received[i]
+                # the first of the greedy order is decoded last
+                vertex = {i: capacity(received[i], noise + w_before)
+                          for i, w_before in zip(order, [0.0, *w])}
                 moved = _line_search(items, vertex, rates, received, noise)
                 if moved is not None:
                     alpha, *cut = moved
@@ -348,7 +334,7 @@ def _decompose(items, rates, received, noise, tol):
             share /= 1.0 + alpha
             for b in chain:
                 b[0] = (b[0] - alpha) / (1.0 + alpha)
-        todo = _split(*cut, received, noise)
+        todo = _split(*cut, noise)
     pieces.append((tuple(i for b in chain for i in b[1]), share))
     return pieces[::-1]
 
@@ -388,13 +374,13 @@ def time_share_decompose(gateways, powers):
         rates = {i: float(q[i]) for i in live}
         power = {i: float(received[i]) for i in live}
         noise = gateways.noise_power
-        full = _capacity(sum(power.values()), noise)
+        full = capacity(sum(power.values()), noise)
         if abs(full - sum(rates.values())) > tol:
             raise DecompositionError(
                 f"queue rates sum to {sum(rates.values()):.6g} but the sum "
                 f"capacity is {full:.6g}; the sum-rate constraint does not "
                 "bind at these powers")
-        order, k, slack = _tightest_prefix(live, rates, power, noise)
+        order, _, k, slack = _tightest_prefix(live, rates, power, noise)
         if slack < -tol:
             raise DecompositionError(
                 f"gateways {sorted(order[:k])} need {-slack:.3g} bps/Hz more "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -31,6 +31,15 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _fields_equal(self, other):
+    """__eq__ of the dataclass value types: the same type, and every field
+    equal by np.array_equal; NotImplemented for another type."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,16 +71,7 @@ class ChannelMatrix:
             raise ValueError("gains must be finite and nonnegative")
         object.__setattr__(self, "gains", gains)
 
-    def __eq__(self, other):
-        if not isinstance(other, ChannelMatrix):
-            return NotImplemented
-        return (
-            self.num_gps == other.num_gps
-            and self.num_gws == other.num_gws
-            and self.gp_power == other.gp_power
-            and self.noise_power == other.noise_power
-            and np.array_equal(self.gains, other.gains)
-        )
+    __eq__ = _fields_equal
 
     @cached_property
     def squared_gains(self):
@@ -137,17 +137,7 @@ class GatewayState:
         object.__setattr__(self, "queue_rates", q)
         object.__setattr__(self, "gains", g)
 
-    def __eq__(self, other):
-        if not isinstance(other, GatewayState):
-            return NotImplemented
-        return (
-            self.num_gws == other.num_gws
-            and self.noise_power == other.noise_power
-            and self.per_gw_power_cap == other.per_gw_power_cap
-            and self.total_power_cap == other.total_power_cap
-            and np.array_equal(self.queue_rates, other.queue_rates)
-            and np.array_equal(self.gains, other.gains)
-        )
+    __eq__ = _fields_equal
 
 
 def generate_rayleigh(num_gps, num_gws, gp_power, noise_power, seed, scale=1.0):

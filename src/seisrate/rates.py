@@ -12,7 +12,8 @@ Two evaluators are provided for a decoding assignment:
   both (polymatroid intersection) gives the value, and two SIC corners
   give a rate vector that attains it.  Past two gateways simplex.solve_lp
   generates only the violated constraints, each a prefix of a decoded set
-  sorted by rate over received power, so no exponential row set is built.
+  sorted by rate over received power that simplex.prefix_slacks scans, so
+  no exponential row set is built.
 
 The searches need only the value, _lp_sum_rate, which shares the sort and
 the prefix sums with evaluate_lp (_ratio_prefixes) but builds no rates.
@@ -30,6 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .model import _fields_equal, _frozen_array
 from .simplex import solve_lp
 
 ORDER_FIXED = "descending-gain-corner"
@@ -50,12 +52,11 @@ class DecodingAssignment:
     flags: np.ndarray
 
     def __post_init__(self):
-        flags = np.array(self.flags, dtype=np.int8)
+        flags = _frozen_array(self.flags, np.int8)
         if flags.ndim != 2:
             raise ValueError("flags must be a 2-D matrix")
         if not np.isin(flags, (0, 1)).all():
             raise ValueError("flags entries must be 0 or 1")
-        flags.setflags(write=False)
         object.__setattr__(self, "flags", flags)
 
     @property
@@ -66,10 +67,7 @@ class DecodingAssignment:
     def num_gws(self):
         return self.flags.shape[1]
 
-    def __eq__(self, other):
-        if not isinstance(other, DecodingAssignment):
-            return NotImplemented
-        return np.array_equal(self.flags, other.flags)
+    __eq__ = _fields_equal
 
     @classmethod
     def all_ones(cls, num_gps, num_gws):
@@ -87,20 +85,16 @@ class RateVector:
     rates: np.ndarray
 
     def __post_init__(self):
-        rates = np.array(self.rates, dtype=float)
+        rates = _frozen_array(self.rates)
         if rates.ndim != 1 or np.any(rates < 0):
             raise ValueError("rates must be a nonnegative vector")
-        rates.setflags(write=False)
         object.__setattr__(self, "rates", rates)
 
     @property
     def sum_rate(self):
         return float(self.rates.sum())
 
-    def __eq__(self, other):
-        if not isinstance(other, RateVector):
-            return NotImplemented
-        return np.array_equal(self.rates, other.rates)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)

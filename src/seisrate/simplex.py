@@ -16,9 +16,10 @@ columns s are the primal x.  Each round pivots to the optimum over the
 known columns, then prices the others (Kelley, 1960): log2(1 + w) is
 concave in the modular w(S), so at each group the least slack
 log2(1 + w(S)) - x(S) lies on a prefix of the members sorted by x_j / w_j,
-descending, as in delivery._tightest_prefix.  Every prefix with slack
-below -_TOL is appended as a column, entries -(surplus block) @ a for its
-indicator a and reduced cost its slack, and the basis stays feasible.
+descending, and prefix_slacks scans them; stage 2's time-sharing schedule
+runs the same scan.  Every prefix with slack below -_TOL is appended as a
+column, entries -(surplus block) @ a for its indicator a and reduced cost
+its slack, and the basis stays feasible.
 With no violated prefix left, x is optimal.  Pivots follow Bland's rule:
 almost every pivot of the larger LPs is degenerate, and the most negative
 reduced cost stalls there (568 pivots against 68 on a 40 x 3 decode-all).
@@ -32,6 +33,7 @@ import numpy as np
 
 from .errors import CapacityLimitError, SeisrateError
 
+LN2 = math.log(2.0)
 _TOL = 1e-9
 # A call that reaches this cap ends about 1.2 s in at 300 geophones on 3
 # gateways (one BLAS thread, 2 vCPUs).  Random assignments of 6-8 x 3 take
@@ -47,22 +49,41 @@ def _pivot(tableau, leave, enter):
     tableau[leave] = pivot_row
 
 
+def capacity(received, noise):
+    """log2(1 + received / noise), the rate of a set with that received power."""
+    return math.log1p(received / noise) / LN2
+
+
+def prefix_slacks(items, x, w, noise):
+    """(order, weights, slacks): the items sorted by x_i / w_i, descending
+    (+-inf by the sign of x_i where w_i = 0, ties in the given order), and
+    for each prefix S of that order its weight w(S) and its slack
+    capacity(w(S), noise) - x(S), both summed in order.
+
+    capacity is concave in the modular w(S), so over all subsets the
+    least slack is one of these prefixes' or the empty set's 0
+    (Fujishige, 2005).
+    """
+    order = sorted(items, reverse=True,
+                   key=lambda i: x[i] / w[i] if w[i] else math.copysign(math.inf, x[i]))
+    weights, slacks, w_sum, x_sum = [], [], 0.0, 0.0
+    for i in order:
+        w_sum += w[i]
+        x_sum += x[i]
+        weights.append(w_sum)
+        slacks.append(capacity(w_sum, noise) - x_sum)
+    return order, weights, slacks
+
+
 def _violated_prefixes(groups, x):
-    """(prefixes, slacks): at each group, every prefix of the members in
-    x_j / w_j-descending order whose slack log2(1 + w) - x is below -_TOL."""
+    """(prefixes, slacks): at each group, every prefix of prefix_slacks at
+    unit noise whose slack is below -_TOL."""
     prefixes, slacks = [], []
     for members, weights in groups:
-        order = sorted(zip(members, weights), reverse=True,
-                       key=lambda jw: x[jw[0]] / jw[1] if jw[1]
-                       else math.copysign(math.inf, x[jw[0]]))
-        prefix, w_sum, x_sum = [], 0.0, 0.0
-        for j, w in order:
-            prefix.append(j)
-            w_sum += w
-            x_sum += x[j]
-            slack = math.log2(1.0 + w_sum) - x_sum
+        order, _, scan = prefix_slacks(members, x, dict(zip(members, weights)), 1.0)
+        for k, slack in enumerate(scan, 1):
             if slack < -_TOL:
-                prefixes.append(list(prefix))
+                prefixes.append(order[:k])
                 slacks.append(slack)
     return prefixes, slacks
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from oracles import reference_solve_lp
+from oracles import reference_solve_lp, subset_masks
 from seisrate import simplex
 from seisrate.errors import CapacityLimitError
-from seisrate.simplex import solve_lp
+from seisrate.model import ChannelMatrix, GatewayState
+from seisrate.simplex import _TOL, _violated_prefixes, prefix_slacks, solve_lp
 
 
 def subset_rows(groups, n):
@@ -144,3 +145,53 @@ def test_pivot_cap(monkeypatch):
     monkeypatch.setattr(simplex, "MAX_PIVOTS", needed - 1)
     with pytest.raises(CapacityLimitError, match="simplex pivots"):
         solve_lp(groups)
+
+
+def _scan_cases(rng):
+    """(x, w, noise): up to 10 items with zero weights, zero and negative
+    x, noise other than 1, and pairs of items with tied x / w."""
+    n = int(rng.integers(1, 11))
+    w = np.exp(rng.uniform(-6.0, 6.0, n))
+    w[rng.random(n) < 0.15] = 0.0
+    noise = float(np.exp(rng.uniform(-3.0, 3.0)))
+    x = np.log2(1.0 + w / noise) * rng.uniform(-0.3, 1.3, n)
+    x[rng.random(n) < 0.1] = 0.0
+    x[(w == 0) & (rng.random(n) < 0.5)] = rng.uniform(-1.0, 1.0)
+    for i in range(1, n):
+        if rng.random() < 0.2:  # a tie: the same x / w at twice the scale
+            j = int(rng.integers(i))
+            x[i], w[i] = 2.0 * x[j], 2.0 * w[j]
+    return x.tolist(), w.tolist(), noise
+
+
+def test_prefix_scan_finds_the_least_subset_slack():
+    # the least slack over every subset lies on a prefix of the scan or is
+    # the empty set's 0, and the LP's separation finds a cut exactly when
+    # one is violated.  Without the empty set the claim fails: at x < 0 on
+    # every item the least nonempty slack need not be a prefix's.
+    rng = np.random.default_rng(31)
+    violated = 0
+    for _ in range(400):
+        x, w, noise = _scan_cases(rng)
+        masks = subset_masks(len(x))
+        least = min(0.0, float((np.log2(1.0 + masks @ w / noise) - masks @ x).min()))
+        scan = prefix_slacks(range(len(x)), x, w, noise)[2]
+        assert min(0.0, *scan) == pytest.approx(least, abs=1e-12)
+
+        members = sorted(rng.choice(len(x) + 3, len(x), replace=False).tolist())
+        at = [0.0] * (len(x) + 3)
+        for j, xj in zip(members, x):
+            at[j] = xj
+        least = float((np.log2(1.0 + masks @ w) - masks @ x).min())
+        prefixes, slacks = _violated_prefixes([(members, w)], at)
+        assert bool(prefixes) == (least < -_TOL)
+        violated += bool(prefixes)
+    assert 50 < violated < 350
+
+
+def test_value_types_are_equal_only_to_their_own_type():
+    channel = ChannelMatrix(1, 1, [[1.0]], 1e-3, 1e-3)
+    gateways = GatewayState(1, [1.0], [1.0], 1e-3)
+    assert channel != gateways and gateways != channel
+    assert gateways == GatewayState(1, [1.0], [1.0], 1e-3)
+    assert gateways != GatewayState(1, [1.0], [1.0], 1e-3, per_gw_power_cap=1.0)
